@@ -23,9 +23,8 @@ from .integrate import (BoundConstants, ConvergenceTrace, RoughPath,
                         distance_alpha, estimate_deriv_bound, integrate,
                         lipschitz_ratio, theoretical_bounds)
 from .lift import (BrownianBundle, KernelSpec, build_lift,
-                   build_lift_quadrature, k_operator, kernel_eval,
-                   kernel_l2_check, riemann_liouville, simulate_brownian,
-                   volterra_convolve)
+                   build_lift_quadrature, kernel_eval, riemann_liouville,
+                   simulate_brownian, volterra_convolve)
 from .mc import (ito_consistency_check, ldp_tail_check, moment_scaling_check,
                  price_and_implied_vol, rde_convergence_check, simulate_state)
 from .rate import (RateProblem, RateSolution, kh_convolve, minimize_rate,
@@ -33,8 +32,7 @@ from .rate import (RateProblem, RateSolution, kh_convolve, minimize_rate,
 from .rde import (ModelResult, RdeProblem, SigmaConstant, SigmaFunction,
                   SigmaLinear, SigmaSmooth, solve_model, solve_rde,
                   solve_rde_batch)
-from .volfn import (ConstantVol, ExponentialVol, PolynomialVol, TabulatedVol,
-                    VolFunction)
+from .volfn import ConstantVol, ExponentialVol, PolynomialVol, VolFunction
 
 __version__ = "0.1.0"
 

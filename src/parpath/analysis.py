@@ -142,8 +142,11 @@ def homogeneous_norm(prp: core.PartialRoughPath, scheme: str = "auto") -> float:
     with each component measured in its own Hoelder exponent.  Exactly
     1-homogeneous under :func:`dilate`.
     """
-    cfg = prp.config
-    reports = _component_sweep(prp, scheme)
+    return _homogeneous_from_reports(prp.config, _component_sweep(prp, scheme))
+
+
+def _homogeneous_from_reports(cfg: core.IndexConfig, reports: dict) -> float:
+    """:func:`homogeneous_norm` from the reports of one component sweep."""
     total = reports["xhat"].value
     for i in cfg.I:
         total += reports[i].value ** (1.0 / (core.midx_degree(i) + 1.0))

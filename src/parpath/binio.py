@@ -11,11 +11,13 @@ docs/formats.md):
 
 Readers validate magic, version, and that the stored index lists match
 what the stored exponents regenerate, so a file cannot silently
-reinterpret data under a different index layout.
+reinterpret data under a different index layout.  Dimensions above
+``MAX_DIM`` and a size the file does not have fail before any allocation.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -26,6 +28,9 @@ from .exceptions import ConfigurationError
 _PRP_MAGIC = b"PRP1"
 _RP_MAGIC = b"RP1\x00"
 _VERSION = 1
+
+# Largest smooth (e) or rough (d) dimension a reader accepts.
+MAX_DIM = 64
 
 
 def _write_u32(fh, *vals):
@@ -57,6 +62,17 @@ def _read_u64(fh, count):
 
 def _read_f64(fh, count):
     return struct.unpack("<" + "d" * count, _read_exact(fh, 8 * count))
+
+
+def _check_header(fh, path, dims, payload):
+    """Refuse dimensions over MAX_DIM and a payload the file does not hold."""
+    if not all(1 <= v <= MAX_DIM for v in dims):
+        raise ConfigurationError(f"{path}: dimensions {dims} outside 1..{MAX_DIM}")
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size < payload:
+        raise ConfigurationError(f"{path}: truncated dump file")
+    if size > payload:
+        raise ConfigurationError(f"{path}: trailing bytes after payload")
 
 
 def _read_array(fh, shape):
@@ -94,6 +110,8 @@ def read_prp(path) -> core.PartialRoughPath:
         (N,) = _read_u64(fh, 1)
         d, e, n_i, n_jk = _read_u32(fh, 4)
         alpha, beta, T = _read_f64(fh, 3)
+        _check_header(fh, path, (d, e), 4 * e * (n_i + 2 * n_jk)
+                      + 8 * (N + 1) * (e + n_i * d + n_jk * d * d))
         I = [tuple(_read_u32(fh, e)) for _ in range(n_i)]
         J = []
         for _ in range(n_jk):
@@ -106,8 +124,6 @@ def read_prp(path) -> core.PartialRoughPath:
         xhat = _read_array(fh, (N + 1, e))
         a = {i: _read_array(fh, (N + 1, d)) for i in cfg.I}
         b = {jk: _read_array(fh, (N + 1, d, d)) for jk in cfg.J}
-        if fh.read(1):
-            raise ConfigurationError(f"{path}: trailing bytes after PRP payload")
     return core.PartialRoughPath(grid, cfg, xhat, a, b)
 
 
@@ -134,9 +150,8 @@ def read_rp(path):
         (N,) = _read_u64(fh, 1)
         (d,) = _read_u32(fh, 1)
         (T,) = _read_f64(fh, 1)
+        _check_header(fh, path, (d,), 8 * (N + 1) * d * (1 + d))
         grid = core.Grid(T=T, N=int(N))
         y1 = _read_array(fh, (N + 1, d))
         y2 = _read_array(fh, (N + 1, d, d))
-        if fh.read(1):
-            raise ConfigurationError(f"{path}: trailing bytes after RP payload")
     return RoughPath(grid, y1, y2)

@@ -196,8 +196,8 @@ def make_kernel(cfg: RunConfig):
     if variant in ("riemann_liouville", "riemann-liouville", "rl"):
         return lift.riemann_liouville(cfg["kernel.H"], delta=cfg["kernel.delta"])
     raise ConfigurationError(
-        f"kernel.variant {cfg['kernel.variant']!r} is not configurable from a "
-        "file; custom kernels require a callable (library API only)")
+        f"kernel.variant {cfg['kernel.variant']!r} is not supported; only "
+        "riemann_liouville kernels are implemented")
 
 
 def make_volfn(cfg: RunConfig, prefix: str = "vol."):

@@ -32,7 +32,7 @@ of one query computed in a single pass).
 from __future__ import annotations
 
 import dataclasses
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -41,6 +41,8 @@ from .exceptions import ConfigurationError, DomainError, IndexSetError
 # Boundary slack for the defining inequalities of the index sets; keeps
 # degree cutoffs stable when |i|*beta + alpha lands on 1.0 up to rounding.
 _DEGREE_EPS = 1e-12
+
+_MAX_INDEX_SET = 10_000  # level-1 plus level-2 indices allowed (51 by default)
 
 
 def midx_degree(i) -> int:
@@ -208,8 +210,14 @@ def build_index_sets(alpha: float, beta: float, e: int, d: int = 1, T: float = 1
         raise ConfigurationError(f"d must be a positive integer, got {d}")
     if not T > 0:
         raise ConfigurationError(f"T must be positive, got {T}")
-    n = int(np.floor((1.0 - alpha) / beta + _DEGREE_EPS))
-    m = int(np.floor((1.0 - 2.0 * alpha) / beta + _DEGREE_EPS))
+    n = (1.0 - alpha) / beta + _DEGREE_EPS
+    m = (1.0 - 2.0 * alpha) / beta + _DEGREE_EPS
+    # Stars and bars sizes |I| = C(n+e, e), |J| = C(m+2e, 2e), before enumerating.
+    if n >= _MAX_INDEX_SET or (comb(int(n) + e, e)
+                               + comb(int(m) + 2 * e, 2 * e)) > _MAX_INDEX_SET:
+        raise ConfigurationError(f"alpha = {alpha}, beta = {beta}, e = {e} give more "
+                                 f"than the {_MAX_INDEX_SET} supported indices")
+    n, m = int(np.floor(n)), int(np.floor(m))
     I = tuple(enumerate_degree_leq(e, n))
     J = []
     for j in enumerate_degree_leq(e, m):
@@ -237,8 +245,8 @@ class Grid:
     def __post_init__(self):
         if not (isinstance(self.N, (int, np.integer)) and self.N >= 2):
             raise ConfigurationError(f"grid needs N >= 2 cells, got {self.N}")
-        if not self.T > 0:
-            raise ConfigurationError(f"grid horizon must be positive, got {self.T}")
+        if not 0 < self.T < np.inf:
+            raise ConfigurationError(f"grid horizon must be positive and finite, got {self.T}")
         nodes = np.linspace(0.0, self.T, self.N + 1)
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)

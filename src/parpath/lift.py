@@ -1,8 +1,8 @@
 """Volterra kernels, Brownian bundles, and lift construction.
 
-A kernel is ``kappa(t) = g(t) * t^(zeta - gamma)`` with ``g`` either a
-constant (the power-law family, closed-form antiderivatives) or a
-user callable.  The driver pair is
+A kernel is the Riemann-Liouville power law
+``kappa(t) = t^(zeta - gamma) / Gamma(H + 1/2)``, whose antiderivatives
+are closed-form.  The driver pair is
 
     xhat_1(t) = int_0^t kappa(t - r) dW_r,      xhat_2(t) = t^zeta,
     X = rho * W + sqrt(1 - rho^2) * Wperp,
@@ -17,7 +17,7 @@ of ``int kappa dW`` against the cell's Brownian increment, built from
 the bundle's auxiliary normals.  A plain cell-average rule misprices the
 touching cell badly for strongly singular kernels (variance deficits of
 order 40%+ at the roughest settings); the hybrid rule keeps node
-variances exact in law for constant ``g``, at every mesh.
+variances exact in law, at every mesh.
 """
 
 from __future__ import annotations
@@ -40,19 +40,18 @@ _DIRECT_CONV_MAX = 512
 
 @dataclasses.dataclass(frozen=True)
 class KernelSpec:
-    """Kernel ``kappa(t) = g(t) t^(zeta-gamma)`` plus exponent bookkeeping.
+    """Kernel ``kappa(t) = const * t^(zeta-gamma)`` plus exponent bookkeeping.
 
     ``zeta`` is the Hoelder exponent of the deterministic component
     ``t^zeta``; ``gamma`` the exponent shifted by the stochastic
-    integration.  For the power-law family ``g`` is the constant
+    integration.  For the power-law family ``const`` is
     ``1/Gamma(H + 1/2)`` and ``zeta - gamma = H - 1/2``.
     """
 
     variant: str
     zeta: float
     gamma: float
-    const: float | None = None
-    g_fn: object = dataclasses.field(default=None, compare=False)
+    const: float
     H: float | None = None
     delta: float | None = None
 
@@ -73,27 +72,10 @@ class KernelSpec:
             variant="rl", zeta=H - delta, gamma=0.5 - delta,
             const=1.0 / math.gamma(H + 0.5), H=float(H), delta=float(delta))
 
-    @staticmethod
-    def custom(g_fn, zeta: float, gamma: float) -> "KernelSpec":
-        if not callable(g_fn):
-            raise ConfigurationError("g_fn must be callable")
-        if not (0.0 < zeta):
-            raise ConfigurationError(f"zeta must be positive, got {zeta}")
-        if not (0.0 <= gamma < 0.5):
-            raise ConfigurationError(f"gamma must lie in [0, 1/2), got {gamma}")
-        if not (-0.5 < zeta - gamma <= 0.5):
-            raise ConfigurationError(
-                f"zeta - gamma must lie in (-1/2, 1/2], got {zeta - gamma}")
-        return KernelSpec(variant="custom", zeta=float(zeta), gamma=float(gamma), g_fn=g_fn)
-
     @property
     def eta(self) -> float:
         """Power-law exponent zeta - gamma of the kernel at 0."""
         return self.zeta - self.gamma
-
-    @property
-    def has_closed_form(self) -> bool:
-        return self.const is not None
 
 
 riemann_liouville = KernelSpec.riemann_liouville
@@ -104,8 +86,7 @@ def kernel_eval(spec: KernelSpec, t):
     t = np.asarray(t, dtype=np.float64)
     if np.any(t <= 0.0):
         raise DomainError("kernel is defined for t > 0 only")
-    g = spec.const if spec.has_closed_form else np.asarray(spec.g_fn(t), dtype=np.float64)
-    return g * t ** spec.eta
+    return spec.const * t ** spec.eta
 
 
 def kernel_antideriv(spec: KernelSpec, t):
@@ -113,15 +94,8 @@ def kernel_antideriv(spec: KernelSpec, t):
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0.0):
         raise DomainError("antiderivative needs t >= 0")
-    if spec.has_closed_form:
-        p = spec.eta + 1.0
-        return spec.const * t ** p / p
-    scalar = t.ndim == 0
-    vals = np.array([
-        scipy.integrate.quad(lambda u: kernel_eval(spec, u), 0.0, ti,
-                             limit=200)[0] if ti > 0 else 0.0
-        for ti in np.atleast_1d(t)])
-    return vals[0] if scalar else vals
+    p = spec.eta + 1.0
+    return spec.const * t ** p / p
 
 
 def kernel_sq_antideriv(spec: KernelSpec, t):
@@ -129,15 +103,8 @@ def kernel_sq_antideriv(spec: KernelSpec, t):
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0.0):
         raise DomainError("needs t >= 0")
-    if spec.has_closed_form:
-        p = 2.0 * spec.eta + 1.0
-        return spec.const ** 2 * t ** p / p
-    scalar = t.ndim == 0
-    vals = np.array([
-        scipy.integrate.quad(lambda u: kernel_eval(spec, u) ** 2, 0.0, ti,
-                             limit=200)[0] if ti > 0 else 0.0
-        for ti in np.atleast_1d(t)])
-    return vals[0] if scalar else vals
+    p = 2.0 * spec.eta + 1.0
+    return spec.const ** 2 * t ** p / p
 
 
 @dataclasses.dataclass(frozen=True)
@@ -224,28 +191,22 @@ def volterra_convolve_batch(dW, aux, spec: KernelSpec, grid: core.Grid) -> np.nd
     B, N = dW.shape
     delta = grid.delta
     out = np.zeros((B, N + 1))
-    if spec.has_closed_form and spec.eta == 0.0:
-        # Constant kernel: the convolution is g * W exactly, including
+    if spec.eta == 0.0:
+        # Constant kernel: the convolution is const * W exactly, including
         # the touching cell (its residual variance vanishes).
         out[:, 1:] = spec.const * np.cumsum(dW, axis=1)
         return out
-    if spec.has_closed_form:
-        lags = np.arange(1, N + 1) * delta
-        Fvals = kernel_antideriv(spec, np.concatenate([[0.0], lags]))
-        w = np.diff(Fvals) / delta  # exact cell averages, lag 1..N
-        mu, sd = _hybrid_cell_coeffs(spec, delta)
-        tail = w[1:]  # lags >= 2
-        touch = mu * dW
-        if aux is not None and sd > 0.0:
-            aux = np.asarray(aux, dtype=np.float64)
-            if aux.shape != dW.shape:
-                raise DomainError("aux must match dW in shape")
-            touch = touch + sd * aux
-    else:
-        # User kernel: left-point rule at every lag, no touching-cell
-        # surgery (no closed antiderivatives to regress against).
-        tail = kernel_eval(spec, np.arange(2, N + 1) * delta)
-        touch = kernel_eval(spec, np.array([delta]))[0] * dW
+    lags = np.arange(1, N + 1) * delta
+    Fvals = kernel_antideriv(spec, np.concatenate([[0.0], lags]))
+    w = np.diff(Fvals) / delta  # exact cell averages, lag 1..N
+    mu, sd = _hybrid_cell_coeffs(spec, delta)
+    tail = w[1:]  # lags >= 2
+    touch = mu * dW
+    if aux is not None and sd > 0.0:
+        aux = np.asarray(aux, dtype=np.float64)
+        if aux.shape != dW.shape:
+            raise DomainError("aux must match dW in shape")
+        touch = touch + sd * aux
     out[:, 1] = touch[:, 0]
     if N >= 2:
         conv = _convolve_rows(tail, dW[:, : N - 1])
@@ -270,45 +231,6 @@ def volterra_convolve(bundle: BrownianBundle, spec: KernelSpec) -> np.ndarray:
     """Convolution path for one bundle, shape (N+1,)."""
     dW = np.diff(bundle.W)
     return volterra_convolve_batch(dW[None, :], bundle.aux[None, :], spec, bundle.grid)[0]
-
-
-def k_operator(f_nodes, spec: KernelSpec, grid: core.Grid) -> np.ndarray:
-    """Kernel boundary operator applied to node samples of f.
-
-    Computes, at every node t,
-
-        K f(t) = kappa(t) (f(t) - f(0))
-               + int_0^t (f(s) - f(t)) kappa'(t - s) ds,
-
-    with f read as the piecewise-linear interpolant of its node values.
-    Cell integrals are evaluated in closed form (integration by parts
-    against kappa), so the rule is exact for linear f and the kernel
-    singularity at the touching cell cancels algebraically rather than
-    numerically.  K f(0) = 0 by convention.
-    """
-    f = np.asarray(f_nodes, dtype=np.float64)
-    N = grid.N
-    if f.shape != (N + 1,):
-        raise DomainError(f"f_nodes must have shape ({N + 1},)")
-    delta = grid.delta
-    lags = np.arange(1, N + 1) * delta
-    kap = kernel_eval(spec, lags)  # kappa(l*delta), l = 1..N
-    Flag = np.concatenate([[0.0], np.asarray(kernel_antideriv(spec, lags), dtype=np.float64)])
-    slopes = np.diff(f) / delta
-    out = np.zeros(N + 1)
-    for q in range(1, N + 1):
-        acc = kap[q - 1] * (f[q] - f[0])
-        if q >= 2:
-            j = np.arange(q - 1)
-            lag_hi = q - j      # u_j / delta
-            lag_lo = q - j - 1  # u_{j+1} / delta
-            A = f[j] - f[q]
-            acc += np.sum(A * (kap[lag_hi - 1] - kap[lag_lo - 1]))
-            acc += np.sum(slopes[j] * (-delta * kap[lag_lo - 1]
-                                       + Flag[lag_hi] - Flag[lag_lo]))
-        acc += slopes[q - 1] * (Flag[1] - delta * kap[0])
-        out[q] = acc
-    return out
 
 
 def build_lift(bundle: BrownianBundle, spec: KernelSpec, config: core.IndexConfig,
@@ -434,37 +356,3 @@ def build_lift_quadrature(xhat_fns, config: core.IndexConfig, grid: core.Grid,
         b[(j, k)] = np.concatenate([[0.0], np.cumsum(cells)])[:, None, None]
 
     return core.PartialRoughPath(grid, config, xhat_at(nodes), a, b)
-
-
-@dataclasses.dataclass(frozen=True)
-class L2SlopeReport:
-    slope: float
-    expected: float
-    gaps: tuple
-    values: tuple
-    passed: bool
-
-
-def kernel_l2_check(spec: KernelSpec, T: float = 1.0, deficit_tol: float = 0.1) -> L2SlopeReport:
-    """Measure the L^2 modulus of the kernel against its claimed exponent.
-
-    Computes ``int_0^t (kappa_{st})^2`` for dyadic gaps ``t - s`` at the
-    fixed anchor ``t = T`` and regresses the log-log slope.  The claimed
-    modulus is ``gap^(2*(zeta-gamma)+1)``; a measured slope more than
-    ``deficit_tol`` below that flags a kernel whose stated exponents
-    overpromise.
-    """
-    expected = 2.0 * spec.eta + 1.0
-    gaps = np.array([T * 2.0 ** (-k) for k in range(3, 10)])
-    vals = []
-    for gap in gaps:
-        s = T - gap
-        tail = float(kernel_sq_antideriv(spec, gap))
-        body, _ = scipy.integrate.quad(
-            lambda u: (float(kernel_eval(spec, np.array([u + gap]))[0])
-                       - float(kernel_eval(spec, np.array([u]))[0])) ** 2,
-            0.0, s, limit=200)
-        vals.append(tail + body)
-    slope = float(np.polyfit(np.log(gaps), np.log(vals), 1)[0])
-    return L2SlopeReport(slope=slope, expected=expected, gaps=tuple(gaps),
-                         values=tuple(vals), passed=slope >= expected - deficit_tol)

@@ -2,11 +2,7 @@
 
 Every family exposes ``value`` and ``partial`` vectorized over a
 trailing-point layout ``(..., e)``; ``partial`` takes a multi-index of
-the same length e.  ``ExponentialVol`` and ``PolynomialVol`` have exact
-derivatives of all orders; ``TabulatedVol`` wraps a black-box callable
-and differentiates by nested central differences, which is only good
-for low orders and is meant for quick experiments, not bound
-computations.
+the same length e.  Every family has exact derivatives of all orders.
 """
 
 from __future__ import annotations
@@ -141,44 +137,3 @@ class PolynomialVol(VolFunction):
                     mono = mono * x[..., axis] ** exp
             out = out + scale * mono
         return out
-
-
-class TabulatedVol(VolFunction):
-    """Black-box callable differentiated by nested central differences.
-
-    ``func`` must accept an (..., e) array and return (...).  Cost grows
-    as 2^|i| evaluations per partial; accuracy degrades fast with
-    order.  Not suitable where high-order derivative bounds matter.
-    """
-
-    def __init__(self, func, e: int, h: float = 1e-5):
-        if not callable(func):
-            raise ConfigurationError("func must be callable")
-        if not 0 < h < 1e-1:
-            raise ConfigurationError(f"step h out of range: {h}")
-        self.func = func
-        self.e = int(e)
-        self.h = float(h)
-
-    def value(self, x):
-        x = self._check_points(x)
-        out = np.asarray(self.func(x), dtype=np.float64)
-        if out.shape != x.shape[:-1]:
-            raise DomainError("func returned wrong shape")
-        return out
-
-    def partial(self, i, x):
-        i = self._check_index(i)
-        x = self._check_points(x)
-        return self._partial_rec(i, x)
-
-    def _partial_rec(self, i, x):
-        deg = midx_degree(i)
-        if deg == 0:
-            return self.value(x)
-        axis = next(ax for ax, v in enumerate(i) if v > 0)
-        lower = tuple(v - 1 if ax == axis else v for ax, v in enumerate(i))
-        step = np.zeros(self.e)
-        step[axis] = self.h
-        return (self._partial_rec(lower, x + step)
-                - self._partial_rec(lower, x - step)) / (2.0 * self.h)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from parpath import __version__, binio, rde
+from parpath import __version__, analysis, binio, cli, rde
 from parpath import config as config_mod
 from parpath.cli import main
 
@@ -200,6 +200,27 @@ def test_integrate_trace_and_bounds(tmp_path):
     assert rp.y1.shape == (65, 1)
 
 
+def test_verify_and_integrate_compute_each_quantity_once(tmp_path, monkeypatch):
+    calls = {"sweep": 0, "integrate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(analysis, "_component_sweep",
+                        counted("sweep", analysis._component_sweep))
+    monkeypatch.setattr(cli, "rough_integrate",
+                        counted("integrate", cli.rough_integrate))
+    cfg = _cfg(tmp_path, SMALL_LIFT)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    assert calls == {"sweep": 1, "integrate": 1}
+    calls.update(sweep=0, integrate=0)
+    assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "i")]) == 0
+    assert calls["integrate"] == 1
+
+
 def test_rde_runs_one_stream_per_path(tmp_path):
     text = """
 index.alpha = 0.45
@@ -318,6 +339,22 @@ def test_mc_price_scores_against_flat_vol(tmp_path):
     assert len(rows) == 2
     for row in rows:
         assert abs(float(row[4]) - 1.0) < 2.0 * float(row[5])
+
+
+def test_mc_price_fails_when_no_row_is_scored(tmp_path):
+    # Far out-of-the-money strikes at a low flat vol: every price is 0,
+    # no implied vol exists, and a check that scored nothing must fail.
+    text = (PRICE.replace("vol.value = 1.0", "vol.value = 0.2")
+                 .replace("mc.strikes = 1.0", "mc.strikes = 5, 10")
+                 .replace("mc.n_paths = 400", "mc.n_paths = 256")
+                 .replace("mc.maturities = 0.25, 0.5", "mc.maturities = 0.25, 0.5, 1.0"))
+    cfg = _cfg(tmp_path, text)
+    out = tmp_path / "pr"
+    assert main(["mc", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "mc_summary.json").read_text())
+    assert summary["inversion_errors"] == 6
+    assert summary["pass"] is False
+    assert "statistic" not in summary
 
 
 def test_mc_ldp_passes_on_consistent_config(tmp_path):

@@ -124,7 +124,7 @@ def test_make_kernel_variants():
         spec = make_kernel(cfg)
         assert spec == lift.riemann_liouville(0.3, delta=0.01)
     cfg = parse_config_text("kernel.H = 0.3\nkernel.variant = fancy\n")
-    with pytest.raises(ConfigurationError, match="library API only"):
+    with pytest.raises(ConfigurationError, match="only riemann_liouville"):
         make_kernel(cfg)
 
 

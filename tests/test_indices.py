@@ -87,6 +87,8 @@ def test_enumerate_counts():
     (0.4, 0.08, 0, 1, 1.0),    # e < 1
     (0.4, 0.08, 2, 0, 1.0),    # d < 1
     (0.4, 0.08, 2, 1, 0.0),    # T <= 0
+    (0.4, 5e-324, 2, 1, 1.0),  # degree cap overflows a float
+    (0.4, 0.004, 2, 1, 1.0),   # 327727 indices, over the supported size
 ])
 def test_rejects_bad_exponents(alpha, beta, e, d, T):
     with pytest.raises(ConfigurationError):

@@ -1,4 +1,4 @@
-"""Kernels, simulated bundles, convolution rule, boundary operator, lifts."""
+"""Kernels, simulated bundles, convolution rule, lifts."""
 
 import math
 
@@ -9,9 +9,8 @@ import scipy.integrate
 from parpath.analysis import chen_defect_report
 from parpath.core import Grid
 from parpath.exceptions import ConfigurationError, DomainError
-from parpath.lift import (BrownianBundle, KernelSpec, build_lift,
-                          build_lift_quadrature, k_operator, kernel_antideriv,
-                          kernel_eval, kernel_l2_check, kernel_sq_antideriv,
+from parpath.lift import (BrownianBundle, build_lift, build_lift_quadrature,
+                          kernel_antideriv, kernel_eval, kernel_sq_antideriv,
                           riemann_liouville, simulate_brownian,
                           volterra_convolve, volterra_convolve_batch)
 from parpath.rng import stream
@@ -45,14 +44,6 @@ def test_kernel_spec_validation():
         riemann_liouville(0.3, delta=0.3)
     with pytest.raises(ConfigurationError):
         riemann_liouville(0.3, delta=0.0)
-    with pytest.raises(ConfigurationError):
-        KernelSpec.custom("not callable", 0.3, 0.2)
-    with pytest.raises(ConfigurationError):
-        KernelSpec.custom(lambda t: t, -0.1, 0.2)
-    with pytest.raises(ConfigurationError):
-        KernelSpec.custom(lambda t: t, 0.3, 0.5)
-    with pytest.raises(ConfigurationError):
-        KernelSpec.custom(lambda t: t, 1.0, 0.1)  # zeta - gamma > 1/2
 
 
 def test_antiderivatives_match_quadrature():
@@ -64,11 +55,11 @@ def test_antiderivatives_match_quadrature():
         want2, _ = scipy.integrate.quad(
             lambda u: float(kernel_eval(spec, np.array([u]))[0]) ** 2, 0.0, t)
         assert float(kernel_sq_antideriv(spec, t)) == pytest.approx(want2, rel=1e-8)
-    custom = KernelSpec.custom(lambda t: np.exp(-t), 0.4, 0.2)
-    for t in (0.3, 1.0):
-        want, _ = scipy.integrate.quad(
-            lambda u: math.exp(-u) * u ** 0.2, 0.0, t)
-        assert float(kernel_antideriv(custom, t)) == pytest.approx(want, rel=1e-7)
+    # Anchored L2 mass over [0, t]: t^{2H} / (2H Gamma(H + 1/2)^2).
+    g2 = math.gamma(0.6) ** 2
+    for t in (0.25, 1.0):
+        assert float(kernel_sq_antideriv(riemann_liouville(0.1, 0.01), t)) \
+            == pytest.approx(t ** 0.2 / (0.2 * g2), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -172,55 +163,6 @@ def test_fft_and_direct_convolution_agree():
 
 
 # ---------------------------------------------------------------------------
-# boundary operator
-
-
-def test_k_operator_constant_kernel_and_constant_f():
-    grid = Grid(T=1.0, N=128)
-    spec5 = riemann_liouville(0.5, delta=0.01)  # kappa constant 1
-    f = np.sin(3.0 * grid.nodes)
-    out = k_operator(f, spec5, grid)
-    assert np.max(np.abs(out - (f - f[0]))) <= 1e-12
-    spec3 = riemann_liouville(0.3, delta=0.01)
-    const = np.full(grid.N + 1, 2.5)
-    assert np.max(np.abs(k_operator(const, spec3, grid))) <= 1e-12
-
-
-def test_k_operator_linear_f_closed_form():
-    # For f(t) = t the operator value is the fractional integral
-    # t^{H+1/2} / Gamma(H + 3/2); the cell rule is exact for linear f.
-    grid = Grid(T=1.0, N=256)
-    for H in (0.1, 0.3):
-        spec = riemann_liouville(H, delta=0.01)
-        out = k_operator(grid.nodes.copy(), spec, grid)
-        want = grid.nodes ** (H + 0.5) / math.gamma(H + 1.5)
-        assert np.max(np.abs(out - want)) <= 1e-6
-
-
-def test_k_operator_smooth_f_quadrature():
-    # The cell rule reads f as its piecewise-linear interpolant, so for
-    # smooth f the residual is the O(mesh^2) interpolation error.
-    grid = Grid(T=1.0, N=1024)
-    spec = riemann_liouville(0.3, delta=0.01)
-    f_fn = lambda t: np.sin(2.0 * t)
-    out = k_operator(f_fn(grid.nodes), spec, grid)
-    eta = spec.eta
-
-    def oracle(t):
-        lead = float(kernel_eval(spec, np.array([t]))[0]) * (f_fn(t) - f_fn(0.0))
-        # kappa'(t - s) has an integrable power singularity at s = t
-        # because f(s) - f(t) vanishes linearly there.
-        body, _ = scipy.integrate.quad(
-            lambda s: (f_fn(s) - f_fn(t)) * spec.const * eta
-            * (t - s) ** (eta - 1.0), 0.0, t, limit=400,
-            points=[t * 0.999])
-        return lead + body
-
-    for q in (128, 512, 1024):
-        assert out[q] == pytest.approx(oracle(grid.nodes[q]), abs=3e-6)
-
-
-# ---------------------------------------------------------------------------
 # lifts
 
 
@@ -288,27 +230,3 @@ def test_quadrature_lift_validation(small_cfg):
     grid = Grid(T=1.0, N=8)
     with pytest.raises(ConfigurationError):
         build_lift_quadrature([lambda t: t], small_cfg, grid)
-
-
-# ---------------------------------------------------------------------------
-# kernel diagnostics
-
-
-def test_l2_slopes():
-    rep = kernel_l2_check(riemann_liouville(0.5, delta=0.01))
-    assert rep.expected == pytest.approx(1.0)
-    assert rep.slope == pytest.approx(1.0, abs=1e-9)
-    assert rep.passed
-
-    rep = kernel_l2_check(riemann_liouville(0.1, delta=0.01))
-    assert rep.expected == pytest.approx(0.2)
-    assert rep.slope == pytest.approx(0.2, abs=0.02)
-    # Anchored L2 mass over [0, t]: t^{2H} / (2H Gamma(H + 1/2)^2).
-    g2 = math.gamma(0.6) ** 2
-    for t in (0.25, 1.0):
-        assert float(kernel_sq_antideriv(riemann_liouville(0.1, 0.01), t)) \
-            == pytest.approx(t ** 0.2 / (0.2 * g2), rel=1e-12)
-
-    rep = kernel_l2_check(riemann_liouville(0.3, delta=0.01))
-    assert rep.slope == pytest.approx(0.6, abs=0.02)
-    assert rep.passed
