@@ -443,7 +443,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = cfg.replace(rng__seed=args.seed)
         return _COMMANDS[args.command](cfg, args.out, threads)
-    except (ConfigurationError, IndexSetError, DomainError) as exc:
+    except (ConfigurationError, IndexSetError, DomainError, OSError) as exc:
+        # OSError: a path the run cannot use, e.g. an --out that names a file.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except InsufficientDataError as exc:

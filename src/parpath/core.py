@@ -32,6 +32,7 @@ of one query computed in a single pass).
 from __future__ import annotations
 
 import dataclasses
+from itertools import combinations, product
 from math import comb, factorial
 
 import numpy as np
@@ -80,9 +81,7 @@ def multiindex_enumerate_leq(i):
     i = tuple(int(v) for v in i)
     if any(v < 0 for v in i):
         raise DomainError(f"multi-index entries must be non-negative, got {i}")
-    out = [()]
-    for bound in i:
-        out = [p + (v,) for p in out for v in range(bound + 1)]
+    out = list(product(*(range(bound + 1) for bound in i)))
     out.sort(key=lambda p: (midx_degree(p), p))
     return out
 
@@ -92,17 +91,14 @@ def enumerate_degree_leq(e: int, degree: int):
     if e < 1:
         raise DomainError(f"dimension e must be >= 1, got {e}")
     out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            for v in range(remaining + 1):
-                out.append(prefix + (v,))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + (v,), remaining - v, slots - 1)
-
-    rec((), degree, e)
-    out.sort(key=lambda p: (midx_degree(p), p))
+    for total in range(degree + 1):
+        # Stars and bars: e - 1 bars among total + e - 1 slots, the bar
+        # positions taken in lexicographic order, give the entries in
+        # lexicographic order.
+        slots = total + e - 1
+        for bars in combinations(range(slots), e - 1):
+            edges = (-1,) + bars + (slots,)
+            out.append(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
     return out
 
 

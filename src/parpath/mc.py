@@ -6,6 +6,15 @@ boundaries depend only on the chunk size, never on the thread count,
 and block results are reduced in block order, so every statistic here
 is bit-reproducible for 1 or many worker threads.
 
+Inside a chunk the normals are drawn once, into a buffer that each
+worker thread reuses for the length of one engine call.  Convolution,
+vol function and cumulative levels then run on row blocks of 64 paths,
+so their temporaries stay a few MB however large the chunk; every one
+of them is row-wise, so blocking changes no bit.  Constant sigma
+telescopes to the first level and the second level is never formed.
+Any other sigma gathers the chunk's levels and calls the stepper once
+per chunk: its Python loop over nodes costs the same at any width.
+
 The state engine reproduces the reference pipeline
 simulate -> lift -> integrate -> step with batched arithmetic: for the
 left-point lift the finest-partition compensated sums collapse to
@@ -18,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -33,6 +43,9 @@ from .rng import stream
 from .volfn import VolFunction
 
 DEFAULT_CHUNK = 1024
+# Paths per row block inside a chunk: one block's (64, N) temporaries are
+# 2 MB at N = 4096, where a whole chunk's are 33 MB each.
+_ROW_BLOCK = 64
 
 
 def _chunk_plan(n_paths: int, chunk: int):
@@ -60,15 +73,47 @@ def _dispatch(worker, plan, threads: int):
         return [fut.result() for fut in futures]
 
 
+def _row_blocks(count: int):
+    """Slices of at most ``_ROW_BLOCK`` rows covering [0, count)."""
+    return [slice(lo, min(lo + _ROW_BLOCK, count))
+            for lo in range(0, count, _ROW_BLOCK)]
+
+
+class _DrawBuffer(threading.local):
+    """Storage for a chunk's normals, one array per worker thread.
+
+    Make one per engine call, so the arrays are freed when the call
+    returns instead of living as long as the thread.
+    """
+
+    array = None
+
+    def view(self, shape) -> np.ndarray:
+        size = math.prod(shape)
+        if self.array is None or self.array.size < size:
+            self.array = np.empty(size)
+        return self.array[:size].reshape(shape)
+
+
 def _draw_increments(seed: int, chunk_id: int, count: int, grid: core.Grid,
-                     rho: float):
-    """(dW, dX, aux) for one block, from the block's own stream."""
+                     rho: float, out=None):
+    """(dW, dX, aux) for one chunk, from the chunk's own stream.
+
+    The three are the rows of one (3, count, N) normal draw, scaled in
+    place; ``out`` is storage for that draw (default: a new array).
+    """
     gen = stream(seed, "mc", chunk_id)
-    norms = gen.standard_normal((3, count, grid.N))
+    dW, dX, aux = gen.standard_normal((3, count, grid.N), out=out)
     sq = math.sqrt(grid.delta)
-    dW = sq * norms[0]
-    dX = rho * dW + math.sqrt(max(0.0, 1.0 - rho ** 2)) * (sq * norms[1])
-    return dW, dX, norms[2]
+    perp = math.sqrt(max(0.0, 1.0 - rho ** 2))
+    for rows in _row_blocks(count):
+        w, x = dW[rows], dX[rows]
+        w *= sq
+        # The products of dX = rho * dW + perp * (sq * normal), in place.
+        x *= sq
+        x *= perp
+        x += rho * w
+    return dW, dX, aux
 
 
 def _driver_xhat(dW, aux, kernel: KernelSpec, grid: core.Grid) -> np.ndarray:
@@ -80,13 +125,19 @@ def _driver_xhat(dW, aux, kernel: KernelSpec, grid: core.Grid) -> np.ndarray:
     return xhat
 
 
-def _levels_batch(f: VolFunction, xhat, dX, delta: float, cell_correction: bool):
-    """Finest-grid integral levels for stacked paths: (y1, y2), (B, N+1)."""
+def _levels_batch(f: VolFunction, xhat, dX, delta: float, cell_correction: bool,
+                  second: bool = True):
+    """Finest-grid integral levels for stacked paths: (y1, y2), (B, N+1).
+
+    With ``second`` false, y2 is not computed and comes back as None.
+    """
     fv = f.value(xhat)
     contrib = fv[:, :-1] * dX
     B, N = dX.shape
     y1 = np.zeros((B, N + 1))
     np.cumsum(contrib, axis=1, out=y1[:, 1:])
+    if not second:
+        return y1, None
     cells2 = y1[:, :-1] * contrib
     if cell_correction:
         cells2 = cells2 + fv[:, :-1] ** 2 * (0.5 * (dX ** 2 - delta))
@@ -100,6 +151,49 @@ def _state_from_levels(y1, y2, sigma: SigmaFunction, s0: float):
         # sigma' = 0: the scheme telescopes, no stepping loop needed.
         return s0 + sigma.c * y1
     return s0 + solve_rde_batch(y1, y2, sigma, s0)
+
+
+def _state_worker(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
+                  rho: float, s0: float, grid: core.Grid, snaps, seed: int,
+                  cell_correction: bool, with_x: bool = True):
+    """Chunk worker giving (S, X) at the snapshot nodes (X None unless with_x).
+
+    Each stage before the stepper works row by row, so it runs on row
+    blocks; the stepper's loop over nodes costs the same at any width,
+    so it runs once on the whole chunk.
+    """
+    draw = _DrawBuffer()
+    stepped = not isinstance(sigma, SigmaConstant)  # else y2 is never read
+    N = grid.N
+
+    def worker(cid, count):
+        dW, dX, aux = _draw_increments(seed, cid, count, grid, rho,
+                                       out=draw.view((3, count, N)))
+        X = np.empty((count, snaps.size)) if with_x else None
+        if stepped:
+            # Column-major, so the stepper's node-major copies are free.
+            y1 = np.empty((count, N + 1), order="F")
+            y2 = np.empty((count, N + 1), order="F")
+        else:
+            S = np.empty((count, snaps.size))
+        for rows in _row_blocks(count):
+            xhat = _driver_xhat(dW[rows], aux[rows], kernel, grid)
+            b1, b2 = _levels_batch(f, xhat, dX[rows], grid.delta,
+                                   cell_correction, second=stepped)
+            del xhat
+            if stepped:
+                y1[rows], y2[rows] = b1, b2
+            else:
+                S[rows] = _state_from_levels(b1, b2, sigma, s0)[:, snaps]
+            if with_x:
+                path = np.zeros_like(b1)
+                np.cumsum(dX[rows], axis=1, out=path[:, 1:])
+                X[rows] = path[:, snaps]
+        if stepped:
+            S = _state_from_levels(y1, y2, sigma, s0)[:, snaps]
+        return S, X
+
+    return worker
 
 
 def simulate_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
@@ -116,17 +210,8 @@ def simulate_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
     if snaps.min() < 0 or snaps.max() > grid.N:
         raise ConfigurationError("snapshot nodes out of range")
 
-    def worker(cid, count):
-        dW, dX, aux = _draw_increments(seed, cid, count, grid, rho)
-        xhat = _driver_xhat(dW, aux, kernel, grid)
-        del dW
-        y1, y2 = _levels_batch(f, xhat, dX, grid.delta, cell_correction)
-        del xhat
-        S = _state_from_levels(y1, y2, sigma, s0)
-        X = np.zeros((count, grid.N + 1))
-        np.cumsum(dX, axis=1, out=X[:, 1:])
-        return S[:, snaps], X[:, snaps]
-
+    worker = _state_worker(kernel, f, sigma, rho, s0, grid, snaps, seed,
+                           cell_correction)
     parts = _dispatch(worker, _chunk_plan(n_paths, chunk), threads)
     S = np.concatenate([p[0] for p in parts])
     X = np.concatenate([p[1] for p in parts])
@@ -176,17 +261,24 @@ def moment_scaling_check(kernel: KernelSpec, grid: core.Grid, rho: float,
     if t_nodes[0] < 1 or t_nodes[-1] > grid.N:
         raise ConfigurationError("t nodes out of range")
 
+    draw = _DrawBuffer()
+
     def worker(cid, count):
-        dW, dX, aux = _draw_increments(seed, cid, count, grid, rho)
-        xhat = _driver_xhat(dW, aux, kernel, grid)
-        del dW
-        sums = {}
-        for i in indices:
-            w = (xhat[:, :-1, 0] ** i[0]) * (xhat[:, :-1, 1] ** i[1]) \
-                / core.midx_factorial(i)
-            a = np.cumsum(w * dX, axis=1)
-            sums[i] = np.sum(a[:, t_nodes - 1] ** 2, axis=0)
-        return sums
+        dW, dX, aux = _draw_increments(seed, cid, count, grid, rho,
+                                       out=draw.view((3, count, grid.N)))
+        # Column-major, the layout the fancy-indexed squares of a whole
+        # chunk had, so np.sum below adds in the same (pairwise) order.
+        squares = {i: np.empty((count, t_nodes.size), order="F")
+                   for i in indices}
+        for rows in _row_blocks(count):
+            xhat = _driver_xhat(dW[rows], aux[rows], kernel, grid)
+            for i in indices:
+                w = (xhat[:, :-1, 0] ** i[0]) * (xhat[:, :-1, 1] ** i[1]) \
+                    / core.midx_factorial(i)
+                a = np.cumsum(w * dX[rows], axis=1)
+                squares[i][rows] = a[:, t_nodes - 1] ** 2
+        # One sum per chunk: per-block sums would add in another order.
+        return {i: np.sum(sq, axis=0) for i, sq in squares.items()}
 
     parts = _dispatch(worker, _chunk_plan(n_paths, chunk), threads)
     t_vals = grid.nodes[t_nodes]
@@ -445,14 +537,12 @@ def ldp_tail_check(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
     t_arr = grid.nodes[snaps]
     thresholds = z * t_arr ** (0.5 - H)
 
+    state = _state_worker(kernel, f, sigma, rho, 0.0, grid, snaps, seed, True,
+                          with_x=False)
+
     def worker(cid, count):
-        dW, dX, aux = _draw_increments(seed, cid, count, grid, rho)
-        xhat = _driver_xhat(dW, aux, kernel, grid)
-        del dW
-        y1, y2 = _levels_batch(f, xhat, dX, grid.delta, True)
-        del xhat
-        S = _state_from_levels(y1, y2, sigma, 0.0)
-        return np.sum(S[:, snaps] >= thresholds[None, :], axis=0)
+        S, _ = state(cid, count)
+        return np.sum(S >= thresholds[None, :], axis=0)
 
     parts = _dispatch(worker, _chunk_plan(n_paths, chunk), threads)
     counts = np.zeros(snaps.size, dtype=np.int64)

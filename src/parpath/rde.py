@@ -196,17 +196,21 @@ def solve_rde_batch(y1, y2, sigma: SigmaFunction, s0: float) -> np.ndarray:
         raise DomainError("y1 and y2 must be equal-shape (B, N+1) arrays")
     s0 = float(s0)
     B, n_nodes = y1.shape
-    dy1 = np.diff(y1, axis=1)
-    y2_cell = np.diff(y2, axis=1) - y1[:, :-1] * dy1
-    out = np.empty((B, n_nodes))
-    out[:, 0] = 0.0
+    # Node-major (N, B) copies: each step reads and writes contiguous
+    # rows instead of strided columns.
+    dy1 = np.ascontiguousarray(np.diff(y1, axis=1).T)
+    y2_cell = np.diff(y2, axis=1)
+    y2_cell -= y1[:, :-1] * dy1.T
+    y2_cell = np.ascontiguousarray(y2_cell.T)
+    out = np.empty((n_nodes, B))
+    out[0] = 0.0
     u = np.zeros(B)
     for q in range(n_nodes - 1):
         sv = sigma.value(s0 + u)
-        u = u + sv * dy1[:, q] + sigma.deriv(s0 + u) * sv * y2_cell[:, q]
+        u = u + sv * dy1[q] + sigma.deriv(s0 + u) * sv * y2_cell[q]
         bad = ~np.isfinite(u) | (np.abs(s0 + u) > _BLOWUP_GUARD)
         if np.any(bad):
             raise SolverError(f"state blew up at node {q + 1} "
                               f"({int(bad.sum())} of {B} paths)", last_good_index=q)
-        out[:, q + 1] = u
-    return out
+        out[q + 1] = u
+    return out.T

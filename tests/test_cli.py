@@ -139,6 +139,28 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert "PARPATH_THREADS" in capsys.readouterr().err
 
 
+def test_many_index_dimensions_exit_2(tmp_path, capsys):
+    # The index sets build (2001 level-1 indices); the lift then refuses
+    # e != 2 instead of recursing once per dimension.
+    cfg = _cfg(tmp_path, "kernel.H = 0.3\nindex.e = 2000\nindex.alpha = 0.5\n"
+                         "index.beta = 0.29\n")
+    assert main(["lift", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "e = 2000" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"],
+                         ids=["out-is-a-file", "out-under-a-file"])
+def test_unusable_out_dir_exits_2(tmp_path, capsys, out):
+    (tmp_path / "taken").write_text("not a directory")
+    cfg = _cfg(tmp_path, SMALL_LIFT)
+    assert main(["lift", "--config", cfg, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "taken" in err
+    assert err.count("\n") == 1
+
+
 def test_verify_reports_chen_and_bounds(tmp_path):
     cfg = _cfg(tmp_path, SMALL_LIFT)
     out = tmp_path / "ver"

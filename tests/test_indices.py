@@ -5,6 +5,7 @@ Z^e_+ with total degree <= n is binom(n + e, e), and pairs (j, k) with
 |j| + |k| <= m are multi-indices in Z^{2e}_+, so binom(m + 2e, 2e).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -77,6 +78,30 @@ def test_enumerate_counts():
         multiindex_enumerate_leq((1, -1))
     with pytest.raises(DomainError):
         enumerate_degree_leq(0, 2)
+
+
+def test_enumeration_order_matches_sorted_product():
+    # Reference: every tuple in the box, filtered and sorted graded-lex.
+    for e in range(1, 5):
+        for degree in range(5):
+            box = itertools.product(range(degree + 1), repeat=e)
+            ref = sorted((p for p in box if sum(p) <= degree),
+                         key=lambda p: (sum(p), p))
+            assert enumerate_degree_leq(e, degree) == ref
+    bound = (2, 0, 1)
+    ref = sorted(itertools.product(*(range(b + 1) for b in bound)),
+                 key=lambda p: (sum(p), p))
+    assert multiindex_enumerate_leq(bound) == ref
+
+
+def test_many_dimensions_do_not_recurse():
+    # One entry per dimension used to cost one stack frame.
+    cfg = build_index_sets(0.5, 0.49, 2000)
+    assert (cfg.n, cfg.m) == (1, 0)
+    assert len(cfg.I) == 2001
+    assert cfg.I[0] == (0,) * 2000
+    assert cfg.I[1] == (0,) * 1999 + (1,)
+    assert cfg.I[-1] == (1,) + (0,) * 1999
 
 
 @pytest.mark.parametrize("alpha,beta,e,d,T", [

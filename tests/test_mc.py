@@ -1,6 +1,7 @@
 """Monte Carlo engine and model-level diagnostic checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,130 @@ def test_engine_matches_lift_pipeline(small_cfg):
         ref = s0 + solve_rde(RdeProblem(driver, sigma, s0=s0))
         assert S[b] == pytest.approx(ref[snaps], abs=1e-12)
         np.testing.assert_array_equal(X[b], x[snaps])
+
+
+def _replay_chunks(seed, rho, grid, n_paths, chunk):
+    """Each chunk's (dW, dX, aux), drawn whole from the chunk's stream."""
+    sq = math.sqrt(grid.delta)
+    for cid, start in enumerate(range(0, n_paths, chunk)):
+        count = min(chunk, n_paths - start)
+        norms = stream(seed, "mc", cid).standard_normal((3, count, grid.N))
+        dW = sq * norms[0]
+        dX = rho * dW + math.sqrt(1.0 - rho ** 2) * (sq * norms[1])
+        yield dW, dX, norms[2]
+
+
+def _replay_state(kernel, f, sigma, rho, s0, grid, n_paths, seed, chunk):
+    """S and X at every node by the whole-chunk formulas, no row blocks."""
+    S, X = [], []
+    for dW, dX, aux in _replay_chunks(seed, rho, grid, n_paths, chunk):
+        count = dW.shape[0]
+        xhat = np.empty((count, grid.N + 1, 2))
+        xhat[:, :, 0] = volterra_convolve_batch(dW, aux, kernel, grid)
+        xhat[:, :, 1] = grid.nodes ** kernel.zeta
+        fv = f.value(xhat)
+        contrib = fv[:, :-1] * dX
+        y1 = np.zeros((count, grid.N + 1))
+        np.cumsum(contrib, axis=1, out=y1[:, 1:])
+        if isinstance(sigma, SigmaConstant):
+            S.append(s0 + sigma.c * y1)
+        else:
+            cells2 = y1[:, :-1] * contrib \
+                + fv[:, :-1] ** 2 * (0.5 * (dX ** 2 - grid.delta))
+            y2 = np.zeros((count, grid.N + 1))
+            np.cumsum(cells2, axis=1, out=y2[:, 1:])
+            dy1 = np.diff(y1, axis=1)
+            y2_cell = np.diff(y2, axis=1) - y1[:, :-1] * dy1
+            u = np.zeros(count)
+            out = np.zeros((count, grid.N + 1))
+            for q in range(grid.N):
+                sv = sigma.value(s0 + u)
+                u = u + sv * dy1[:, q] + sigma.deriv(s0 + u) * sv * y2_cell[:, q]
+                out[:, q + 1] = u
+            S.append(s0 + out)
+        path = np.zeros((count, grid.N + 1))
+        np.cumsum(dX, axis=1, out=path[:, 1:])
+        X.append(path)
+    return np.concatenate(S), np.concatenate(X)
+
+
+# N > 512 takes the FFT convolution; 250 paths in chunks of 100 give row
+# blocks of 64 + 36, 64 + 36 and 50 paths.
+_BLOCKED = (core.Grid(T=1.0, N=1024), 250, 100, 13)  # grid, n_paths, chunk, seed
+
+
+@pytest.mark.parametrize("sigma", [SigmaConstant(0.7), SigmaLinear(0.1, 0.5)],
+                         ids=["constant", "linear"])
+def test_blocked_engine_is_bit_identical_to_whole_chunks(sigma):
+    kernel = riemann_liouville(0.1, 0.01)
+    f = ExponentialVol(0.3, (0.5, 0.2))
+    grid, n_paths, chunk, seed = _BLOCKED
+    snaps = [0, 1, 300, grid.N]
+    S_ref, X_ref = _replay_state(kernel, f, sigma, -0.7, 0.5, grid, n_paths,
+                                 seed, chunk)
+    for threads in (1, 2):
+        S, X = simulate_state(kernel, f, sigma, -0.7, 0.5, grid, snaps, n_paths,
+                              seed, threads=threads, chunk=chunk)
+        np.testing.assert_array_equal(S, S_ref[:, snaps])
+        np.testing.assert_array_equal(X, X_ref[:, snaps])
+
+
+def test_blocked_tail_counts_and_moments_match_whole_chunks():
+    kernel = riemann_liouville(0.1, 0.01)
+    f = ExponentialVol(0.3, (0.5, 0.2))
+    grid, n_paths, chunk, seed = _BLOCKED
+    t_values = (0.25, 0.5, 0.75, 1.0)
+    problem = RateProblem(ConstantVol(0.3), 1.0, -0.7, 0.1, K=8, restarts=1,
+                          seed=0, z_grid=(0.1,))
+    report = ldp_tail_check(kernel, f, SigmaConstant(1.0), -0.7, grid, 0.1,
+                            t_values, problem, n_paths=n_paths, seed=seed,
+                            chunk=chunk, min_count=1)
+    S_ref, _ = _replay_state(kernel, f, SigmaConstant(1.0), -0.7, 0.0, grid,
+                             n_paths, seed, chunk)
+    snaps = [int(t * grid.N) for t in t_values]
+    thresholds = 0.1 * np.asarray(t_values) ** (0.5 - 0.1)
+    assert report.dropped == ()
+    np.testing.assert_array_equal(report.counts,
+                                  np.sum(S_ref[:, snaps] >= thresholds, axis=0))
+
+    # The moment check sums each chunk's squares in one np.sum, as here.
+    t_nodes = np.array([64, 256, 1024])
+    moments = moment_scaling_check(kernel, grid, -0.7, n_paths, seed,
+                                   t_nodes=t_nodes, chunk=chunk)
+    total = {i: np.zeros(t_nodes.size) for i in moments.indices}
+    for dW, dX, aux in _replay_chunks(seed, -0.7, grid, n_paths, chunk):
+        conv = volterra_convolve_batch(dW, aux, kernel, grid)
+        for i in moments.indices:
+            w = (conv[:, :-1] ** i[0]) * (grid.nodes[:-1] ** kernel.zeta) ** i[1] \
+                / core.midx_factorial(i)
+            a = np.cumsum(w * dX, axis=1)
+            total[i] = total[i] + np.sum(a[:, t_nodes - 1] ** 2, axis=0)
+    for i in moments.indices:
+        np.testing.assert_array_equal(moments.mean_squares[i], total[i] / n_paths)
+
+
+def test_draw_buffer_is_not_shared_across_calls():
+    grid = core.Grid(T=1.0, N=4096)
+    kernel = riemann_liouville(0.3, 0.01)
+    args = (kernel, ConstantVol(0.5), SigmaConstant(1.0), -0.3, 1.0, grid,
+            [1, 2048, 4096], 16)
+    S1, X1 = simulate_state(*args, seed=1, chunk=8)
+    kept = S1.copy(), X1.copy()
+    S2, X2 = simulate_state(*args, seed=2, chunk=8)
+    np.testing.assert_array_equal(S1, kept[0])
+    np.testing.assert_array_equal(X1, kept[1])
+    assert not np.array_equal(S1, S2)
+
+    # Two 64-path chunks draw 3 * 64 * 4096 normals each (6.3 MB); none
+    # of that may stay allocated once the call has returned.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        simulate_state(*args[:-1], 128, seed=3, chunk=64)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
 
 
 def test_state_threads_do_not_change_the_sample():
