@@ -20,8 +20,8 @@ from .exceptions import (ConfigurationError, ConvergenceWarning, DomainError,
                          SolverError)
 from .integrate import (BoundConstants, ConvergenceTrace, RoughPath,
                         compensated_sum_level1, compensated_sum_level2,
-                        distance_alpha, estimate_deriv_bound, integrate,
-                        lipschitz_ratio, theoretical_bounds)
+                        distance_alpha, estimate_deriv_bound, integral,
+                        integrate, lipschitz_ratio, theoretical_bounds)
 from .lift import (BrownianBundle, KernelSpec, build_lift,
                    build_lift_quadrature, kernel_eval, riemann_liouville,
                    simulate_brownian, volterra_convolve)

@@ -235,7 +235,7 @@ def chen_defect_report(prp: core.PartialRoughPath, n_triples: int = 1000,
     best1, arg1 = 0.0, (None, (0, 0, 0))
     for i in cfg.I:
         recomposed = v1_su[i].copy()
-        for p, diff, w in cfg._down1_full[i]:
+        for p, diff, w in cfg._down1[i]:
             recomposed += coef(diff, w)[:, None] * v1_ut[p]
         rel = _flat_norm(v1_st[i] - recomposed) / (1.0 + _flat_norm(v1_st[i]))
         k = int(np.argmax(rel)) if P else 0
@@ -246,9 +246,9 @@ def chen_defect_report(prp: core.PartialRoughPath, n_triples: int = 1000,
     best2, arg2 = 0.0, (None, (0, 0, 0))
     for (j, k_) in cfg.J:
         recomposed = v2_su[(j, k_)].copy()
-        for q, diff, w in cfg._cross[(j, k_)]:
+        for q, diff, w in cfg._down1[k_]:
             recomposed += np.einsum("p,pa,pb->pab", coef(diff, w), v1_su[j], v1_ut[q])
-        for (p, q), diff, w in cfg._down2_full[(j, k_)]:
+        for (p, q), diff, w in cfg._down2[(j, k_)]:
             recomposed += coef(diff, w)[:, None, None] * v2_ut[(p, q)]
         rel = _flat_norm(v2_st[(j, k_)] - recomposed) / (1.0 + _flat_norm(v2_st[(j, k_)]))
         kk = int(np.argmax(rel)) if P else 0

@@ -32,8 +32,8 @@ from . import lift as lift_mod
 from . import rate as rate_mod
 from .exceptions import (ConfigurationError, DomainError, IndexSetError,
                          InsufficientDataError, NumericalError)
-from .integrate import (estimate_deriv_bound, integrate as rough_integrate,
-                        theoretical_bounds)
+from .integrate import (estimate_deriv_bound, integral,
+                        integrate as rough_integrate, theoretical_bounds)
 
 
 def _fmt(value) -> str:
@@ -173,8 +173,7 @@ def cmd_verify(cfg, out_dir: str, threads: int) -> int:
     comps = analysis.component_holder_norms(prp, scheme=cfg["verify.scheme"])
     hom = analysis._homogeneous_from_reports(prp.config, comps)
     f = config_mod.make_volfn(cfg)
-    rp, _ = rough_integrate(prp, f, tol=cfg["integrate.tol"])
-    bounds = _bound_check_payload(cfg, prp, f, rp, hom)
+    bounds = _bound_check_payload(cfg, prp, f, integral(prp, f), hom)
     tol = 1e-10
     payload = {
         "chen": {
@@ -232,7 +231,6 @@ def cmd_rde(cfg, out_dir: str, threads: int) -> int:
         result = rde.solve_model(grid, kernel, idxcfg, f, sigma,
                                  cfg["corr.rho"], cfg["model.S0"],
                                  seed=cfg["rng.seed"] + p,
-                                 tol=cfg["integrate.tol"],
                                  cell_correction=cfg["lift.cell_correction"])
         for q in range(grid.N + 1):
             rows.append((p, grid.nodes[q], result.S[q]))
@@ -443,9 +441,11 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = cfg.replace(rng__seed=args.seed)
         return _COMMANDS[args.command](cfg, args.out, threads)
-    except (ConfigurationError, IndexSetError, DomainError, OSError) as exc:
-        # OSError: a path the run cannot use, e.g. an --out that names a file.
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigurationError, IndexSetError, DomainError, OSError,
+            MemoryError) as exc:
+        # OSError: a path the run cannot use, e.g. an --out that names a
+        # file; MemoryError: sizes the machine cannot hold.
+        print(f"config error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except InsufficientDataError as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)

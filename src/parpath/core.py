@@ -32,6 +32,7 @@ of one query computed in a single pass).
 from __future__ import annotations
 
 import dataclasses
+import functools
 from itertools import combinations, product
 from math import comb, factorial
 
@@ -123,43 +124,34 @@ class IndexConfig:
     m: int
 
     def __post_init__(self):
-        # Derived lookup tables; plain attributes so dataclass eq/hash
-        # stay based on the declared fields only.
-        zero = (0,) * self.e
-        down1_strict = {}
-        down1_full = {}
-        for i in self.I:
-            full = [
-                (p, midx_sub(i, p), 1.0 / midx_factorial(midx_sub(i, p)))
-                for p in multiindex_enumerate_leq(i)
-            ]
-            down1_full[i] = full
-            down1_strict[i] = [entry for entry in full if entry[0] != i]
-        down2_strict = {}
-        down2_full = {}
-        cross = {}
-        for (j, k) in self.J:
-            entries = []
-            for p in multiindex_enumerate_leq(j):
-                for q in multiindex_enumerate_leq(k):
-                    diff = midx_add(midx_sub(j, p), midx_sub(k, q))
-                    w = 1.0 / (midx_factorial(midx_sub(j, p)) * midx_factorial(midx_sub(k, q)))
-                    entries.append(((p, q), diff, w))
-            entries.sort(key=lambda en: (midx_degree(en[0][0]) + midx_degree(en[0][1]), en[0]))
-            down2_full[(j, k)] = entries
-            down2_strict[(j, k)] = [en for en in entries if en[0] != (j, k)]
-            cross[(j, k)] = [
-                (q, midx_sub(k, q), 1.0 / midx_factorial(midx_sub(k, q)))
-                for q in multiindex_enumerate_leq(k)
-            ]
-        object.__setattr__(self, "zero", zero)
-        object.__setattr__(self, "_down1_strict", down1_strict)
-        object.__setattr__(self, "_down1_full", down1_full)
-        object.__setattr__(self, "_down2_strict", down2_strict)
-        object.__setattr__(self, "_down2_full", down2_full)
-        object.__setattr__(self, "_cross", cross)
+        # Plain attributes, so dataclass eq/hash stay based on the
+        # declared fields only.
+        object.__setattr__(self, "zero", (0,) * self.e)
         object.__setattr__(self, "_i_set", frozenset(self.I))
         object.__setattr__(self, "_j_set", frozenset(self.J))
+
+    # Splitting tables, built on first use: entries (lower index,
+    # difference, 1 / difference!) in graded order, the index itself
+    # last, so ``table[:-1]`` holds the strictly lower entries.
+    @functools.cached_property
+    def _down1(self):
+        """i -> entries over p <= i."""
+        return {i: [(p, midx_sub(i, p), 1.0 / midx_factorial(midx_sub(i, p)))
+                    for p in multiindex_enumerate_leq(i)]
+                for i in self.I}
+
+    @functools.cached_property
+    def _down2(self):
+        """(j, k) -> entries over (p, q) <= (j, k)."""
+        down1 = self._down1
+        table = {}
+        for (j, k) in self.J:
+            entries = [((p, q), midx_add(dj, dk),
+                        1.0 / (midx_factorial(dj) * midx_factorial(dk)))
+                       for p, dj, _ in down1[j] for q, dk, _ in down1[k]]
+            entries.sort(key=lambda en: (midx_degree(en[0][0]) + midx_degree(en[0][1]), en[0]))
+            table[(j, k)] = entries
+        return table
 
     def require_level1(self, i):
         if tuple(i) not in self._i_set:
@@ -332,24 +324,28 @@ def _as_pair_indices(prp, s, t):
 
 
 class _PowerCache:
-    """Componentwise powers of anchor values, built on demand."""
+    """Monomials ``x^i`` of points x, shape (..., e); each power built once."""
 
     def __init__(self, xs):
-        self.xs = xs  # (P, e)
-        self._pows = [[np.ones(xs.shape[0])] for _ in range(xs.shape[1])]
+        self.xs = xs
+        self._pows = [[np.ones(xs.shape[:-1])] for _ in range(xs.shape[-1])]
 
     def coefficient(self, diff):
+        """``x^diff``, or None for an all-zero ``diff`` (identically 1)."""
         out = None
         for axis, k in enumerate(diff):
             if k == 0:
                 continue
             col = self._pows[axis]
             while len(col) <= k:
-                col.append(col[-1] * self.xs[:, axis])
+                col.append(col[-1] * self.xs[..., axis])
             out = col[k] if out is None else out * col[k]
-        if out is None:
-            return None  # all-zero diff: coefficient identically 1
         return out
+
+    def monomial(self, idx):
+        """``x^idx`` as an array, also for the all-zero index."""
+        out = self.coefficient(idx)
+        return self._pows[0][0] if out is None else out
 
 
 def level1_pairs(prp: PartialRoughPath, s, t, indices=None):
@@ -375,13 +371,13 @@ def level1_pairs(prp: PartialRoughPath, s, t, indices=None):
         targets = [cfg.require_level1(i) for i in indices]
     needed = set()
     for i in targets:
-        needed.update(p for p, _, _ in cfg._down1_full[i])
+        needed.update(p for p, _, _ in cfg._down1[i])
     order = sorted(needed, key=lambda p: (midx_degree(p), p))
     pows = _PowerCache(prp.xhat[s])
     vals = {}
     for i in order:
         v = prp.a[i][t] - prp.a[i][s]
-        for p, diff, w in cfg._down1_strict[i]:
+        for p, diff, w in cfg._down1[i][:-1]:
             coef = pows.coefficient(diff)
             term = w * vals[p]
             v = v - (term if coef is None else coef[:, None] * term)
@@ -404,9 +400,9 @@ def level2_pairs(prp: PartialRoughPath, s, t, pairs=None, level1_vals=None):
         targets = [cfg.require_level2(jk) for jk in pairs]
     needed = set()
     for jk in targets:
-        needed.update(pq for pq, _, _ in cfg._down2_full[jk])
+        needed.update(pq for pq, _, _ in cfg._down2[jk])
     order = sorted(needed, key=lambda pq: (midx_degree(pq[0]) + midx_degree(pq[1]), pq))
-    level1_needed = {q for jk in order for q, _, _ in cfg._cross[jk]}
+    level1_needed = {q for (_, k) in order for q, _, _ in cfg._down1[k]}
     if level1_vals is None or not level1_needed.issubset(level1_vals):
         level1_vals = level1_pairs(prp, s, t, indices=sorted(
             level1_needed, key=lambda p: (midx_degree(p), p)))
@@ -415,11 +411,11 @@ def level2_pairs(prp: PartialRoughPath, s, t, pairs=None, level1_vals=None):
     for (j, k) in order:
         v = prp.b[(j, k)][t] - prp.b[(j, k)][s]
         aj_s = prp.a[j][s]  # (P, d), anchored level-1 value at s
-        for q, diff, w in cfg._cross[(j, k)]:
+        for q, diff, w in cfg._down1[k]:
             coef = pows.coefficient(diff)
             outer = np.einsum("pa,pb->pab", aj_s, level1_vals[q])
             v = v - (w * outer if coef is None else (w * coef)[:, None, None] * outer)
-        for pq, diff, w in cfg._down2_strict[(j, k)]:
+        for pq, diff, w in cfg._down2[(j, k)][:-1]:
             coef = pows.coefficient(diff)
             term = w * vals[pq]
             v = v - (term if coef is None else coef[:, None, None] * term)
@@ -476,21 +472,7 @@ def lift_sampled_paths(xhat, x, config: IndexConfig, grid: Grid,
         raise DomainError(f"x must have shape {(N + 1, d)}, got {x.shape}")
     xhat = xhat - xhat[0]
     dx = np.diff(x, axis=0)  # (N, d)
-    xl = xhat[:-1]  # left nodes (N, e)
-
-    maxdeg = config.n + config.m  # largest exponent appearing in any weight
-    pows = [np.ones((maxdeg + 1, N)) for _ in range(e)]
-    for axis in range(e):
-        for kdeg in range(1, maxdeg + 1):
-            pows[axis][kdeg] = pows[axis][kdeg - 1] * xl[:, axis]
-
-    def weight(idx):
-        out = np.ones(N)
-        for axis, k in enumerate(idx):
-            if k:
-                out = out * pows[axis][k]
-        return out
-
+    weight = _PowerCache(xhat[:-1]).monomial  # monomials of the left nodes
     zeros_head = np.zeros((1, d))
     a = {}
     for i in config.I:

@@ -5,8 +5,9 @@ sums: over a partition, each cell contributes every stored level-1 term
 weighted by the matching partial of f at the cell's left anchor, and
 (for the second integral level) every level-2 term weighted by products
 of partials.  On discrete data the finest partition is already the
-limit, so :func:`integrate` returns the finest-partition sums and a
-refinement trace showing how coarser partitions approach them.
+limit, so :func:`integral` returns the finest-partition sums, and
+:func:`integrate` returns them with a refinement trace showing how
+coarser partitions approach them.
 
 ``theoretical_bounds`` evaluates the closed-form constants that bound
 the integral levels and the Lipschitz dependence on the driver; they
@@ -80,7 +81,7 @@ class RoughPath:
                 - np.einsum("pa,pb->pab", self.y1[s], self.y1[t] - self.y1[s]))
 
 
-def _check_partition(prp, partition, s, t):
+def _check_partition(prp, partition):
     part = np.asarray(partition, dtype=np.int64)
     if part.ndim != 1 or part.size < 2:
         raise DomainError("partition needs at least two nodes")
@@ -88,13 +89,7 @@ def _check_partition(prp, partition, s, t):
         raise DomainError("partition must be strictly increasing")
     if part[0] < 0 or part[-1] > prp.N:
         raise DomainError("partition nodes out of range")
-    if s is None:
-        s = int(part[0])
-    if t is None:
-        t = int(part[-1])
-    if part[0] != s or part[-1] != t:
-        raise DomainError("partition must run from s to t")
-    return part, s, t
+    return part
 
 
 def _partials_at(f: VolFunction, indices, xs):
@@ -102,12 +97,12 @@ def _partials_at(f: VolFunction, indices, xs):
 
 
 def compensated_sum_level1(prp: core.PartialRoughPath, f: VolFunction,
-                           partition, s=None, t=None) -> np.ndarray:
+                           partition) -> np.ndarray:
     """First-level compensated sum over a partition, shape (d,).
 
     Each cell contributes ``sum_i d^i f(xhat_left) X^(i)_cell``.
     """
-    part, s, t = _check_partition(prp, partition, s, t)
+    part = _check_partition(prp, partition)
     lefts, rights = part[:-1], part[1:]
     x1 = core.level1_pairs(prp, lefts, rights)
     df = _partials_at(f, prp.config.I, prp.xhat[lefts])
@@ -118,15 +113,15 @@ def compensated_sum_level1(prp: core.PartialRoughPath, f: VolFunction,
 
 
 def compensated_sum_level2(prp: core.PartialRoughPath, f: VolFunction,
-                           partition, y1_nodes, s=None, t=None) -> np.ndarray:
+                           partition, y1_nodes) -> np.ndarray:
     """Second-level compensated sum over a partition, shape (d, d).
 
     ``y1_nodes`` supplies the first-level integral on the full grid
     (anchored at node 0), used for the cross term
-    ``Y1_{s,left} (x) Y1_cell``; the remaining term weights level-2
-    cells by products of partials of f.
+    ``Y1_{s,left} (x) Y1_cell``, s the partition's first node; the
+    remaining term weights level-2 cells by products of partials of f.
     """
-    part, s, t = _check_partition(prp, partition, s, t)
+    part = _check_partition(prp, partition)
     lefts, rights = part[:-1], part[1:]
     y1_nodes = np.asarray(y1_nodes, dtype=np.float64)
     if y1_nodes.shape != (prp.N + 1, prp.config.d):
@@ -136,7 +131,7 @@ def compensated_sum_level2(prp: core.PartialRoughPath, f: VolFunction,
     first_indices = {jk[0] for jk in prp.config.J}
     second_indices = {jk[1] for jk in prp.config.J}
     df = _partials_at(f, first_indices | second_indices, xs)
-    y1_anchor = y1_nodes[lefts] - y1_nodes[s]
+    y1_anchor = y1_nodes[lefts] - y1_nodes[part[0]]
     y1_cell = y1_nodes[rights] - y1_nodes[lefts]
     total = np.einsum("pa,pb->ab", y1_anchor, y1_cell)
     for (j, k) in prp.config.J:
@@ -169,18 +164,12 @@ def _dyadic_partition(N: int, level: int) -> np.ndarray:
     return np.unique(np.round(np.linspace(0.0, N, cells + 1)).astype(np.int64))
 
 
-def integrate(prp: core.PartialRoughPath, f: VolFunction, tol: float = 1e-9):
-    """Rough integral of f against the lift, with a refinement trace.
+def integral(prp: core.PartialRoughPath, f: VolFunction) -> RoughPath:
+    """Rough integral of f against the lift, without a refinement trace.
 
-    Returns ``(RoughPath, ConvergenceTrace)``.  The output path holds
-    the finest-partition compensated sums anchored at node 0; the trace
-    reruns both sums on dyadic partitions P_0, P_1, ... and stops once
-    consecutive levels agree to ``tol`` (relative), or at the finest
-    partition, warning :class:`ConvergenceWarning` when the differences
-    are still growing there.
+    The output path holds the finest-partition compensated sums
+    anchored at node 0; :func:`integrate` returns it with the trace.
     """
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
     cfg, N, d = prp.config, prp.N, prp.config.d
     lefts = np.arange(N, dtype=np.int64)
     rights = lefts + 1
@@ -197,7 +186,22 @@ def integrate(prp: core.PartialRoughPath, f: VolFunction, tol: float = 1e-9):
     for (j, k) in cfg.J:
         contrib2 += (df[j] * df[k])[:, None, None] * x2c[(j, k)]
     y2 = np.concatenate([np.zeros((1, d, d)), np.cumsum(contrib2, axis=0)])
-    out = RoughPath(prp.grid, y1, y2)
+    return RoughPath(prp.grid, y1, y2)
+
+
+def integrate(prp: core.PartialRoughPath, f: VolFunction, tol: float = 1e-9):
+    """:func:`integral` of f against the lift, with its refinement trace.
+
+    Returns ``(RoughPath, ConvergenceTrace)``.  The trace reruns both
+    sums on dyadic partitions P_0, P_1, ... and stops once consecutive
+    levels agree to ``tol`` (relative), or at the finest partition,
+    warning :class:`ConvergenceWarning` when the differences are still
+    growing there.
+    """
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    out = integral(prp, f)
+    N, y1, y2 = prp.N, out.y1, out.y2
 
     levels, n_cells, j1s, j2s = [], [], [], []
     diffs1, diffs2 = [], []
@@ -343,13 +347,11 @@ class LipschitzReport:
 
 
 def lipschitz_ratio(pa: core.PartialRoughPath, pb: core.PartialRoughPath,
-                    f: VolFunction, tol: float = 1e-9,
-                    scheme: str = "auto") -> LipschitzReport:
+                    f: VolFunction, scheme: str = "auto") -> LipschitzReport:
     """Measured output/input distance ratio for one driver pair."""
     d_in = analysis.distance_ab(pa, pb, scheme=scheme)
-    ya, _ = integrate(pa, f, tol=tol)
-    yb, _ = integrate(pb, f, tol=tol)
-    d_out = distance_alpha(ya, yb, pa.config.alpha, scheme=scheme)
+    d_out = distance_alpha(integral(pa, f), integral(pb, f), pa.config.alpha,
+                           scheme=scheme)
     if d_in == 0.0:
         assert d_out <= 1e-10, "distinct outputs from coinciding drivers"
         return LipschitzReport(distance_in=0.0, distance_out=d_out, ratio=0.0)

@@ -284,9 +284,7 @@ def build_lift_quadrature(xhat_fns, config: core.IndexConfig, grid: core.Grid,
         raise ConfigurationError(f"need {e} path components, got {len(xhat_fns)}")
     if xdot is None:
         xdot = lambda t: np.ones_like(np.asarray(t, dtype=np.float64))
-    N, delta = grid.N, grid.delta
-    nodes = grid.nodes
-
+    delta, nodes = grid.delta, grid.nodes
     x0 = np.array([float(fn(np.array([0.0]))[0]) for fn in xhat_fns])
 
     def xhat_at(t):
@@ -301,17 +299,7 @@ def build_lift_quadrature(xhat_fns, config: core.IndexConfig, grid: core.Grid,
     xh8 = xhat_at(r8)          # (N, 8, e)
     xd8 = np.asarray(xdot(r8), dtype=np.float64) * np.ones_like(r8)
 
-    maxdeg = config.n + config.m
-    pow8 = np.ones((maxdeg + 1,) + r8.shape + (e,))
-    for kdeg in range(1, maxdeg + 1):
-        pow8[kdeg] = pow8[kdeg - 1] * xh8
-
-    def mono8(idx):
-        out = np.ones(r8.shape)
-        for axis, k in enumerate(idx):
-            if k:
-                out = out * pow8[k][..., axis]
-        return out
+    mono8 = core._PowerCache(xh8).monomial
 
     def integrand_scalar(idx, r):
         xv = xhat_at(np.array([r]))[0]
@@ -334,17 +322,7 @@ def build_lift_quadrature(xhat_fns, config: core.IndexConfig, grid: core.Grid,
     r3 = nodes[:-1, None, None] + half[:, :, None] * (gx3[None, None, :] + 1.0)
     xh3 = xhat_at(r3)                                          # (N, 8, 3, e)
     xd3 = np.asarray(xdot(r3), dtype=np.float64) * np.ones(r3.shape)
-    pow3 = np.ones((maxdeg + 1,) + r3.shape + (e,))
-    for kdeg in range(1, maxdeg + 1):
-        pow3[kdeg] = pow3[kdeg - 1] * xh3
-
-    def mono3(idx):
-        out = np.ones(r3.shape)
-        for axis, k in enumerate(idx):
-            if k:
-                out = out * pow3[k][..., axis]
-        return out
-
+    mono3 = core._PowerCache(xh3).monomial
     b = {}
     a_at_gauss = {}
     for j in {jk[0] for jk in config.J}:

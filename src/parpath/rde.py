@@ -22,7 +22,7 @@ import dataclasses
 import numpy as np
 
 from .exceptions import ConfigurationError, DomainError, SolverError
-from .integrate import RoughPath
+from .integrate import RoughPath, integral
 
 _BLOWUP_GUARD = 1e6
 
@@ -36,11 +36,6 @@ class SigmaFunction:
     def deriv(self, s):
         raise NotImplementedError
 
-    @property
-    def bounded_derivatives(self) -> bool:
-        """Whether value/deriv are globally bounded (guards stay quiet)."""
-        return False
-
 
 @dataclasses.dataclass(frozen=True)
 class SigmaConstant(SigmaFunction):
@@ -51,10 +46,6 @@ class SigmaConstant(SigmaFunction):
 
     def deriv(self, s):
         return np.zeros_like(np.asarray(s, dtype=np.float64))
-
-    @property
-    def bounded_derivatives(self):
-        return True
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,10 +78,6 @@ class SigmaSmooth(SigmaFunction):
 
     def deriv(self, s):
         return np.asarray(self.dfn(np.asarray(s, dtype=np.float64)), dtype=np.float64)
-
-    @property
-    def bounded_derivatives(self):
-        return True
 
 
 def shifted(sigma: SigmaFunction, s0: float) -> SigmaFunction:
@@ -156,11 +143,10 @@ class ModelResult:
     driver: RoughPath
     prp: object
     bundle: object
-    trace: object
 
 
 def solve_model(grid, kernel, index_config, f, sigma: SigmaFunction,
-                rho: float, s0: float, seed: int, tol: float = 1e-9,
+                rho: float, s0: float, seed: int,
                 cell_correction: bool = True) -> ModelResult:
     """Simulate, lift, integrate, and step: one path of the full model.
 
@@ -169,16 +155,15 @@ def solve_model(grid, kernel, index_config, f, sigma: SigmaFunction,
     single-path pipeline; the Monte Carlo engines reproduce it with
     batched arithmetic.
     """
-    from .integrate import integrate as rough_integrate
     from .lift import build_lift, simulate_brownian
 
     bundle = simulate_brownian(grid, rho, seed)
     prp = build_lift(bundle, kernel, index_config,
                      cell_correction=cell_correction)
-    driver, trace = rough_integrate(prp, f, tol=tol)
+    driver = integral(prp, f)
     sbar = solve_rde(RdeProblem(driver=driver, sigma=sigma, s0=s0))
     return ModelResult(S=s0 + sbar, Sbar=sbar, driver=driver, prp=prp,
-                       bundle=bundle, trace=trace)
+                       bundle=bundle)
 
 
 def solve_rde_batch(y1, y2, sigma: SigmaFunction, s0: float) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib
 import json
 import subprocess
 import sys
@@ -12,6 +13,9 @@ import pytest
 from parpath import __version__, analysis, binio, cli, rde
 from parpath import config as config_mod
 from parpath.cli import main
+
+# The package exports the function integrate() under the module's name.
+integrate_mod = importlib.import_module("parpath.integrate")
 
 
 SMALL_LIFT = """
@@ -150,6 +154,20 @@ def test_many_index_dimensions_exit_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 8.00 EiB"),
+                                 MemoryError()], ids=["message", "bare"])
+def test_memory_error_exits_2(tmp_path, capsys, monkeypatch, exc):
+    def exhausted(cfg, out_dir, threads):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "lift", exhausted)
+    cfg = _cfg(tmp_path, SMALL_LIFT)
+    assert main(["lift", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert (str(exc) or "MemoryError") in err
+
+
 @pytest.mark.parametrize("out", ["taken", "taken/sub"],
                          ids=["out-is-a-file", "out-under-a-file"])
 def test_unusable_out_dir_exits_2(tmp_path, capsys, out):
@@ -223,7 +241,7 @@ def test_integrate_trace_and_bounds(tmp_path):
 
 
 def test_verify_and_integrate_compute_each_quantity_once(tmp_path, monkeypatch):
-    calls = {"sweep": 0, "integrate": 0}
+    calls = {"sweep": 0, "integral": 0, "trace": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -233,14 +251,21 @@ def test_verify_and_integrate_compute_each_quantity_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(analysis, "_component_sweep",
                         counted("sweep", analysis._component_sweep))
+    # Every binding of integral(); rough_integrate is the traced integrate().
+    integral = counted("integral", integrate_mod.integral)
+    for module in (integrate_mod, cli, rde):
+        monkeypatch.setattr(module, "integral", integral)
     monkeypatch.setattr(cli, "rough_integrate",
-                        counted("integrate", cli.rough_integrate))
-    cfg = _cfg(tmp_path, SMALL_LIFT)
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
-    assert calls == {"sweep": 1, "integrate": 1}
-    calls.update(sweep=0, integrate=0)
-    assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "i")]) == 0
-    assert calls["integrate"] == 1
+                        counted("trace", cli.rough_integrate))
+    cfg = _cfg(tmp_path, SMALL_LIFT + "model.n_paths = 3\n")
+    expected = {"verify": {"sweep": 1, "integral": 1, "trace": 0},
+                "rde": {"sweep": 0, "integral": 3, "trace": 0},
+                "integrate": {"sweep": 1, "integral": 1, "trace": 1}}
+    for command, counts in expected.items():
+        calls.update(sweep=0, integral=0, trace=0)
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / command)]) == 0
+        assert calls == counts, command
 
 
 def test_rde_runs_one_stream_per_path(tmp_path):
@@ -267,7 +292,7 @@ rng.seed = 11
                               config_mod.make_volfn(cfg),
                               config_mod.make_sigma(cfg),
                               cfg["corr.rho"], cfg["model.S0"],
-                              seed=11 + p, tol=cfg["integrate.tol"])
+                              seed=11 + p)
         got = np.array([float(r[2]) for r in rows if int(r[0]) == p])
         np.testing.assert_array_equal(got, res.S)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parpath import core, lift, rde, volfn
 from parpath.config import (
@@ -28,6 +29,25 @@ def test_minimal_config_fills_defaults():
     assert cfg["lift.cell_correction"] is True
     assert cfg["mc.strikes"] == (0.9, 1.0, 1.1)
     assert cfg["mc.t_values"] == ()
+    assert set(cfg.values) == set(REGISTRY)
+
+
+_VALUES = st.one_of(st.text(max_size=20),
+                    st.sampled_from(["0.3", "-0", "1e999", "nan", "inf", "7", "1_0",
+                                     "0x10", "true", "off", "1, 2,", ",", "9" * 5000]))
+_LINES = st.one_of(
+    st.text(max_size=30),
+    st.builds("{}{}{}".format, st.sampled_from(sorted(REGISTRY) + ["kernel.h", ""]),
+              st.sampled_from(["=", " = ", "==", " ", "\t=\t"]), _VALUES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINES, max_size=8).map("\n".join))
+def test_fuzzed_text_parses_or_raises_configuration_error(text):
+    try:
+        cfg = parse_config_text(text)
+    except ConfigurationError:
+        return
     assert set(cfg.values) == set(REGISTRY)
 
 

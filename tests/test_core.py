@@ -1,11 +1,14 @@
 """Anchored storage and pair reconstruction against literal double sums."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from parpath.core import (Grid, PartialRoughPath, level1_pairs, level2_pairs,
-                          lift_sampled_paths, reconstruct_level1,
-                          reconstruct_level2)
+from parpath.core import (Grid, PartialRoughPath, build_index_sets,
+                          level1_pairs, level2_pairs, lift_sampled_paths,
+                          reconstruct_level1, reconstruct_level2)
 from parpath.exceptions import DomainError, IndexSetError
 
 from conftest import oracle_level1, oracle_level2, random_walk_paths
@@ -103,6 +106,33 @@ def test_batched_pairs_match_single(walk_prp):
         for jk in cfg.J:
             assert np.array_equal(
                 v2[jk][p], reconstruct_level2(walk_prp, jk, int(s[p]), int(t[p])))
+
+
+def test_first_use_of_the_tables_from_many_threads(walk_prp):
+    # Each thread's first query may build the shared splitting tables.
+    s = np.array([0, 3, 10, 64])
+    t = np.array([5, 3, 127, 128])
+    want = level2_pairs(walk_prp, s, t)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            prp = lift_sampled_paths(walk_prp.xhat, walk_prp.a[(0, 0)],
+                                     build_index_sets(0.4, 0.08, 2), walk_prp.grid)
+            workers = [threading.Thread(
+                target=lambda: results.append(level2_pairs(prp, s, t)))
+                for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 24
+    for got in results:
+        assert all(np.array_equal(got[jk], want[jk]) for jk in want)
 
 
 def test_subset_queries(walk_prp):

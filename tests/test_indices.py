@@ -5,6 +5,7 @@ Z^e_+ with total degree <= n is binom(n + e, e), and pairs (j, k) with
 |j| + |k| <= m are multi-indices in Z^{2e}_+, so binom(m + 2e, 2e).
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -102,6 +103,21 @@ def test_many_dimensions_do_not_recurse():
     assert cfg.I[0] == (0,) * 2000
     assert cfg.I[1] == (0,) * 1999 + (1,)
     assert cfg.I[-1] == (1,) + (0,) * 1999
+    # The splitting tables are built on first use, not with the sets.
+    fields = {f.name for f in dataclasses.fields(cfg)}
+    assert set(vars(cfg)) - fields == {"zero", "_i_set", "_j_set"}
+
+
+def test_splitting_tables_end_with_the_index_itself(default_cfg):
+    # level1_pairs/level2_pairs take the strictly lower entries as table[:-1].
+    for i, entries in default_cfg._down1.items():
+        assert [p for p, _, _ in entries] == multiindex_enumerate_leq(i)
+        assert entries[-1] == (i, (0, 0), 1.0)
+    for (j, k), entries in default_cfg._down2.items():
+        assert len(entries) == len(default_cfg._down1[j]) * len(default_cfg._down1[k])
+        assert entries[-1] == ((j, k), (0, 0), 1.0)
+        assert all(midx_degree(p) + midx_degree(q) < midx_degree(j) + midx_degree(k)
+                   for (p, q), _, _ in entries[:-1])
 
 
 @pytest.mark.parametrize("alpha,beta,e,d,T", [

@@ -13,6 +13,7 @@ from parpath.integrate import (
     compensated_sum_level2,
     distance_alpha,
     estimate_deriv_bound,
+    integral,
     integrate,
     lipschitz_ratio,
     theoretical_bounds,
@@ -64,6 +65,14 @@ def test_constant_vol_collapse(walk_prp):
     for k in range(len(trace.levels)):
         np.testing.assert_allclose(trace.j1[k], out.y1[-1], rtol=1e-12)
         np.testing.assert_allclose(trace.j2[k], out.y2[-1], rtol=1e-12)
+
+
+def test_integral_is_the_integrate_path(walk_prp):
+    f = ExponentialVol(1.0, (0.5, 0.5))
+    out = integral(walk_prp, f)
+    traced, _ = integrate(walk_prp, f)
+    np.testing.assert_array_equal(out.y1, traced.y1)
+    np.testing.assert_array_equal(out.y2, traced.y2)
 
 
 def test_unit_vol_reproduces_driver(walk_prp):
@@ -180,8 +189,6 @@ def test_partition_validation(walk_prp):
         compensated_sum_level1(walk_prp, f, [0, 10, 10, 20])
     with pytest.raises(DomainError):
         compensated_sum_level1(walk_prp, f, [0, 200])
-    with pytest.raises(DomainError):
-        compensated_sum_level1(walk_prp, f, [0, 64], s=1)
     with pytest.raises(DomainError):
         compensated_sum_level2(walk_prp, f, [0, 64], np.zeros((5, 1)))
     with pytest.raises(DomainError):

@@ -39,14 +39,11 @@ def test_sigma_values_and_derivs():
     c = SigmaConstant(0.3)
     np.testing.assert_array_equal(c.value(s), [0.3, 0.3, 0.3])
     np.testing.assert_array_equal(c.deriv(s), [0.0, 0.0, 0.0])
-    assert c.bounded_derivatives
     lin = SigmaLinear(1.0, 2.0)
     np.testing.assert_array_equal(lin.value(s), [-1.0, 1.0, 6.0])
     np.testing.assert_array_equal(lin.deriv(s), [2.0, 2.0, 2.0])
-    assert not lin.bounded_derivatives
     sm = SigmaSmooth(np.tanh, lambda u: 1.0 / np.cosh(u) ** 2)
     np.testing.assert_allclose(sm.value(s), np.tanh(s), rtol=1e-15)
-    assert sm.bounded_derivatives
     with pytest.raises(ConfigurationError):
         SigmaSmooth(np.tanh, None)
 
