@@ -29,10 +29,9 @@ from .mc import (ito_consistency_check, ldp_tail_check, moment_scaling_check,
                  price_and_implied_vol, rde_convergence_check, simulate_state)
 from .rate import (RateProblem, RateSolution, kh_convolve, minimize_rate,
                    optimality_report, rate_objective, smile_curve)
-from .rde import (ModelResult, RdeProblem, SigmaConstant, SigmaFunction,
-                  SigmaLinear, SigmaSmooth, solve_model, solve_rde,
-                  solve_rde_batch)
-from .volfn import ConstantVol, ExponentialVol, PolynomialVol, VolFunction
+from .rde import (RdeProblem, SigmaConstant, SigmaFunction, SigmaLinear,
+                  SigmaSmooth, solve_model, solve_rde, solve_rde_batch)
+from .volfn import ConstantVol, ExponentialVol, VolFunction
 
 __version__ = "0.1.0"
 

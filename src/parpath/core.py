@@ -60,11 +60,6 @@ def midx_factorial(i) -> int:
     return out
 
 
-def midx_leq(p, i) -> bool:
-    """Componentwise partial order p <= i."""
-    return all(pl <= il for pl, il in zip(p, i))
-
-
 def midx_sub(i, p):
     """Componentwise difference i - p (caller guarantees p <= i)."""
     return tuple(il - pl for il, pl in zip(i, p))
@@ -304,10 +299,6 @@ class PartialRoughPath:
     @property
     def N(self) -> int:
         return self.grid.N
-
-    def increments(self) -> np.ndarray:
-        """Driver increments per cell, shape (N, d)."""
-        return np.diff(self.a[self.config.zero], axis=0)
 
 
 def _as_pair_indices(prp, s, t):

@@ -107,63 +107,41 @@ class RdeProblem:
 def solve_rde(problem: RdeProblem) -> np.ndarray:
     """Integrate the scheme along the driver, returning Sbar at all nodes.
 
-    Sbar starts at 0; the model state is ``problem.s0 + Sbar``.  Raises
-    :class:`SolverError` (carrying ``last_good_index``) if the state
-    leaves [-1e6, 1e6] or turns non-finite.
+    Sbar starts at 0; the model state is ``problem.s0 + Sbar``.  This is
+    :func:`solve_rde_batch` on one row.  Raises :class:`SolverError`
+    (carrying ``last_good_index``) if the state leaves [-1e6, 1e6] or
+    turns non-finite.
     """
     rp = problem.driver
     if rp.d != 1:
         raise DomainError("time stepper handles scalar drivers only")
-    y1 = rp.y1[:, 0]
-    y2 = rp.y2[:, 0, 0]
-    dy1 = np.diff(y1)
-    # Cell values of the second level: Y2 over (q, q+1).
-    y2_cell = np.diff(y2) - y1[:-1] * dy1
-    sig = problem.sigma
-    s0 = float(problem.s0)
-    out = np.empty(rp.N + 1)
-    out[0] = 0.0
-    u = 0.0
-    for q in range(rp.N):
-        sv = float(np.asarray(sig.value(s0 + u)))
-        dv = float(np.asarray(sig.deriv(s0 + u)))
-        u = u + sv * dy1[q] + dv * sv * y2_cell[q]
-        if not np.isfinite(u) or abs(s0 + u) > _BLOWUP_GUARD:
-            raise SolverError(f"state blew up at node {q + 1}", last_good_index=q)
-        out[q + 1] = u
-    return out
-
-
-@dataclasses.dataclass(frozen=True)
-class ModelResult:
-    """Everything produced by one end-to-end model solve."""
-
-    S: np.ndarray
-    Sbar: np.ndarray
-    driver: RoughPath
-    prp: object
-    bundle: object
+    return solve_rde_batch(rp.y1[None, :, 0], rp.y2[None, :, 0, 0],
+                           problem.sigma, problem.s0)[0]
 
 
 def solve_model(grid, kernel, index_config, f, sigma: SigmaFunction,
-                rho: float, s0: float, seed: int,
-                cell_correction: bool = True) -> ModelResult:
-    """Simulate, lift, integrate, and step: one path of the full model.
+                rho: float, s0: float, seeds,
+                cell_correction: bool = True) -> np.ndarray:
+    """Simulate, lift, integrate, and step: one path of the full model per seed.
 
     The state follows ``dS = sigma(S) dY`` with ``Y = int f(xhat) dX``
-    built from a fresh Brownian bundle.  This is the reference
-    single-path pipeline; the Monte Carlo engines reproduce it with
+    built from a fresh Brownian bundle for each seed.  Every path is
+    lifted and integrated first, then all are stepped in one
+    :func:`solve_rde_batch` call.  Returns the states S, shape
+    ``(len(seeds), N+1)``, row p from ``seeds[p]``.  This is the
+    reference pipeline; the Monte Carlo engines reproduce it with
     batched arithmetic.
     """
     from .lift import build_lift, simulate_brownian
 
-    bundle = simulate_brownian(grid, rho, seed)
-    prp = build_lift(bundle, kernel, index_config,
-                     cell_correction=cell_correction)
-    driver = integral(prp, f)
-    sbar = solve_rde(RdeProblem(driver=driver, sigma=sigma, s0=s0))
-    return ModelResult(S=s0 + sbar, Sbar=sbar, driver=driver, prp=prp,
-                       bundle=bundle)
+    y1, y2 = [], []
+    for seed in seeds:
+        prp = build_lift(simulate_brownian(grid, rho, seed), kernel,
+                         index_config, cell_correction=cell_correction)
+        driver = integral(prp, f)
+        y1.append(driver.y1[:, 0])
+        y2.append(driver.y2[:, 0, 0])
+    return s0 + solve_rde_batch(np.stack(y1), np.stack(y2), sigma, s0)
 
 
 def solve_rde_batch(y1, y2, sigma: SigmaFunction, s0: float) -> np.ndarray:
@@ -171,9 +149,10 @@ def solve_rde_batch(y1, y2, sigma: SigmaFunction, s0: float) -> np.ndarray:
 
     y1: (B, N+1) anchored first-level paths; y2: (B, N+1) anchored
     second-level paths (the scalar (0,0) entry).  Returns the centered
-    solutions Sbar, shape (B, N+1), starting at 0.  Blow-up handling
-    matches :func:`solve_rde` but reports the first offending node
-    across the batch.
+    solutions Sbar, shape (B, N+1), starting at 0; each row is the
+    same bits whatever the batch width.  Raises :class:`SolverError`
+    (carrying ``last_good_index``) at the first node where any path
+    leaves [-1e6, 1e6] or turns non-finite.
     """
     y1 = np.asarray(y1, dtype=np.float64)
     y2 = np.asarray(y2, dtype=np.float64)

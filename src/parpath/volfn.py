@@ -8,11 +8,10 @@ the same length e.  Every family has exact derivatives of all orders.
 from __future__ import annotations
 
 import dataclasses
-from math import factorial
 
 import numpy as np
 
-from .core import midx_degree, midx_leq, midx_sub
+from .core import midx_degree
 from .exceptions import ConfigurationError, DomainError
 
 
@@ -101,39 +100,3 @@ class ExponentialVol(VolFunction):
             scale *= c ** k
         return scale * self.value(x)
 
-
-@dataclasses.dataclass(frozen=True)
-class PolynomialVol(VolFunction):
-    """f(x) = sum_p terms[p] * x^p over multi-indices p."""
-
-    terms: tuple  # ((multi-index, coefficient), ...)
-    e: int
-
-    def __post_init__(self):
-        norm = []
-        for p, c in self.terms:
-            p = tuple(int(v) for v in p)
-            if len(p) != self.e or any(v < 0 for v in p):
-                raise ConfigurationError(f"bad term index {p}")
-            norm.append((p, float(c)))
-        object.__setattr__(self, "terms", tuple(norm))
-
-    def value(self, x):
-        return self.partial((0,) * self.e, x)
-
-    def partial(self, i, x):
-        i = self._check_index(i)
-        x = self._check_points(x)
-        out = np.zeros(x.shape[:-1])
-        for p, c in self.terms:
-            if not midx_leq(i, p):
-                continue
-            scale = c
-            for pl, il in zip(p, i):
-                scale *= factorial(pl) / factorial(pl - il)
-            mono = np.ones(x.shape[:-1])
-            for axis, exp in enumerate(midx_sub(p, i)):
-                if exp:
-                    mono = mono * x[..., axis] ** exp
-            out = out + scale * mono
-        return out

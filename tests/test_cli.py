@@ -287,14 +287,14 @@ rng.seed = 11
     cfg = config_mod.load_config(cfg_path)
     grid = config_mod.make_grid(cfg)
     for p in (0, 1):
-        res = rde.solve_model(grid, config_mod.make_kernel(cfg),
-                              config_mod.make_index_config(cfg),
-                              config_mod.make_volfn(cfg),
-                              config_mod.make_sigma(cfg),
-                              cfg["corr.rho"], cfg["model.S0"],
-                              seed=11 + p)
+        S = rde.solve_model(grid, config_mod.make_kernel(cfg),
+                            config_mod.make_index_config(cfg),
+                            config_mod.make_volfn(cfg),
+                            config_mod.make_sigma(cfg),
+                            cfg["corr.rho"], cfg["model.S0"],
+                            seeds=[11 + p])
         got = np.array([float(r[2]) for r in rows if int(r[0]) == p])
-        np.testing.assert_array_equal(got, res.S)
+        np.testing.assert_array_equal(got, S[0])
 
 
 RATE = """
@@ -404,6 +404,29 @@ def test_mc_price_fails_when_no_row_is_scored(tmp_path):
     assert "statistic" not in summary
 
 
+def test_mc_ito_fails_when_nothing_is_measured(tmp_path):
+    # Constant f: every term above the zero index vanishes, the RMS is 0
+    # at every mesh, and a check that measured nothing must fail.
+    text = """
+index.alpha = 0.45
+index.beta = 0.2
+kernel.H = 0.3
+vol.family = constant
+mc.check = ito
+mc.n_paths = 1
+"""
+    cfg = _cfg(tmp_path, text)
+    out = tmp_path / "ito"
+    assert main(["mc", "--config", cfg, "--out", str(out)]) == 0
+    header, rows = _read_csv(out / "ito.csv")
+    assert header == ["n_cells", "rms"]
+    assert [float(r[1]) for r in rows] == [0.0, 0.0, 0.0]
+    summary = json.loads((out / "mc_summary.json").read_text())
+    assert summary["check"] == "ito"
+    assert summary["statistic"] == 0.0
+    assert summary["pass"] is False
+
+
 def test_mc_ldp_passes_on_consistent_config(tmp_path):
     cfg = _cfg(tmp_path, LDP)
     out = tmp_path / "ldp"
@@ -437,13 +460,16 @@ def test_mc_unknown_check(tmp_path, capsys):
     assert "mc.check" in capsys.readouterr().err
 
 
-def test_state_blowup_exits_3(tmp_path, capsys):
-    text = """
+@pytest.mark.parametrize("n_paths", [1, 3])
+def test_state_blowup_exits_3(tmp_path, capsys, n_paths):
+    # Every path is lifted before any is stepped, and the message names
+    # the first blown-up node across all of them.
+    text = f"""
 index.alpha = 0.45
 index.beta = 0.2
 grid.N = 16
 kernel.H = 0.3
-model.n_paths = 1
+model.n_paths = {n_paths}
 model.sigma.params = 0.0, 50.0
 vol.family = exponential
 vol.xi = 5.0
@@ -453,6 +479,7 @@ rng.seed = 0
     assert main(["rde", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical error:") and "blew up" in err
+    assert f"of {n_paths} paths" in err
 
 
 def test_starved_tail_exits_4(tmp_path, capsys):

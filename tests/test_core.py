@@ -160,7 +160,6 @@ def test_lift_anchors_and_shapes(small_cfg):
     assert prp.a[(0, 0)].shape == (N + 1, 1)
     # The zero index accumulates the raw driver increments.
     assert np.allclose(prp.a[(0, 0)][:, 0], x[:, 0] - x[0, 0], atol=1e-15)
-    assert np.allclose(prp.increments(), np.diff(x, axis=0), atol=1e-15)
 
 
 def test_container_validation(small_cfg):

@@ -14,9 +14,18 @@ from parpath.rate import (
     rate_objective,
     smile_curve,
 )
-from parpath.volfn import ConstantVol, ExponentialVol, PolynomialVol
+from parpath.volfn import ConstantVol, ExponentialVol, VolFunction
 
 F_EXP = ExponentialVol(0.2, (1.0, 0.0))
+
+
+class FirstCoordinate(VolFunction):
+    """f(x) = x_0, which vanishes at the base point."""
+
+    e = 2
+
+    def value(self, x):
+        return self._check_points(x)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +104,7 @@ def test_rate_problem_validation():
     with pytest.raises(ConfigurationError):
         RateProblem(**ok, restarts=0)
     # vanishing vol at the base point leaves the misfit term undefined
-    zero_at_base = PolynomialVol((((1, 0), 1.0),), e=2)
+    zero_at_base = FirstCoordinate()
     with pytest.raises(ConfigurationError):
         RateProblem(**{**ok, "f": zero_at_base})
     prob = RateProblem(**ok, z_grid=[0.1, -0.2])

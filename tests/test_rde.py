@@ -5,9 +5,8 @@ import scipy.integrate
 from parpath import core
 from parpath.exceptions import ConfigurationError, DomainError, SolverError
 from parpath.integrate import RoughPath, integrate
-from parpath.lift import build_lift_quadrature, riemann_liouville
+from parpath.lift import build_lift_quadrature, riemann_liouville, simulate_brownian
 from parpath.rde import (
-    ModelResult,
     RdeProblem,
     SigmaConstant,
     SigmaLinear,
@@ -136,7 +135,19 @@ def test_batch_shape_validation():
 
 
 # ---------------------------------------------------------------------------
-# batch/scalar agreement
+# batch-width invariance
+
+
+def _scalar_loop(y1, y2, sigma, s0):
+    """The scheme on one path, one node at a time: the stepper's reference."""
+    dy1 = np.diff(y1)
+    y2_cell = np.diff(y2) - y1[:-1] * dy1
+    out = np.zeros(len(y1))
+    for q in range(len(dy1)):
+        u = out[q]
+        sv = float(sigma.value(s0 + u))
+        out[q + 1] = u + sv * dy1[q] + float(sigma.deriv(s0 + u)) * sv * y2_cell[q]
+    return out
 
 
 def test_batch_matches_scalar_paths():
@@ -150,39 +161,40 @@ def test_batch_matches_scalar_paths():
     sigma = SigmaSmooth(np.tanh, lambda u: 1.0 / np.cosh(u) ** 2)
     batch = solve_rde_batch(y1, y2, sigma, s0=0.3)
     for p in range(B):
+        alone = solve_rde_batch(y1[p:p + 1], y2[p:p + 1], sigma, s0=0.3)[0]
+        np.testing.assert_array_equal(batch[p], alone)
         rp = RoughPath(grid, y1[p][:, None], y2[p][:, None, None])
         single = solve_rde(RdeProblem(rp, sigma, s0=0.3))
         np.testing.assert_array_equal(batch[p], single)
+        np.testing.assert_array_equal(batch[p], _scalar_loop(y1[p], y2[p], sigma, 0.3))
 
 
 # ---------------------------------------------------------------------------
-# full single-path pipeline
+# full model pipeline
 
 
 def test_solve_model_pipeline(small_cfg):
     grid = core.Grid(T=1.0, N=64)
     spec = riemann_liouville(0.3, 0.01)
     f = ExponentialVol(1.0, (0.5, 0.5))
-    res = solve_model(grid, spec, small_cfg, f, SigmaLinear(0.0, 1.0),
-                      rho=-0.5, s0=1.0, seed=11)
-    assert isinstance(res, ModelResult)
-    np.testing.assert_array_equal(res.S, 1.0 + res.Sbar)
-    assert res.S[0] == 1.0
-    assert res.driver.y1.shape == (65, 1)
-    again = solve_model(grid, spec, small_cfg, f, SigmaLinear(0.0, 1.0),
-                        rho=-0.5, s0=1.0, seed=11)
-    np.testing.assert_array_equal(res.S, again.S)
-    other = solve_model(grid, spec, small_cfg, f, SigmaLinear(0.0, 1.0),
-                        rho=-0.5, s0=1.0, seed=12)
-    assert not np.array_equal(res.S, other.S)
+    two = solve_model(grid, spec, small_cfg, f, SigmaLinear(0.0, 1.0),
+                      rho=-0.5, s0=1.0, seeds=[11, 12])
+    assert two.shape == (2, 65)
+    np.testing.assert_array_equal(two[:, 0], [1.0, 1.0])
+    one = solve_model(grid, spec, small_cfg, f, SigmaLinear(0.0, 1.0),
+                      rho=-0.5, s0=1.0, seeds=[11])
+    assert one.shape == (1, 65)
+    np.testing.assert_array_equal(two[0], one[0])
+    assert not np.array_equal(two[0], two[1])
 
 
 def test_geometric_model_matches_closed_form(small_cfg):
     # unit vol and sigma(S) = S: exact solution S0 exp(X_T - T/2)
     grid = core.Grid(T=1.0, N=1024)
     spec = riemann_liouville(0.5, 0.01)
-    for seed in (1, 2, 3):
-        res = solve_model(grid, spec, small_cfg, ConstantVol(1.0),
-                          SigmaLinear(0.0, 1.0), rho=0.0, s0=1.0, seed=seed)
-        xT = res.prp.a[(0, 0)][-1, 0]
-        assert res.S[-1] == pytest.approx(np.exp(xT - 0.5), abs=1e-3)
+    seeds = (1, 2, 3)
+    S = solve_model(grid, spec, small_cfg, ConstantVol(1.0),
+                    SigmaLinear(0.0, 1.0), rho=0.0, s0=1.0, seeds=seeds)
+    for p, seed in enumerate(seeds):
+        xT = simulate_brownian(grid, 0.0, seed).X[-1]
+        assert S[p, -1] == pytest.approx(np.exp(xT - 0.5), abs=1e-3)
