@@ -70,6 +70,30 @@ def _flat_norm(vals):
     return np.sqrt(np.sum(vals.reshape(vals.shape[0], -1) ** 2, axis=1))
 
 
+def _holder_sweep(evaluate, exps: dict, grid: core.Grid, scheme: str) -> dict:
+    """sup over node pairs of |value| / (t - s)^exponent, per key of ``exps``.
+
+    ``evaluate`` maps equal-length index arrays (s, t) to a dict keyed
+    like ``exps`` of values with leading pair axis; trailing axes are
+    reduced by the Frobenius norm.  Returns HolderReports in key order.
+    """
+    scheme = resolve_scheme(scheme, grid.N)
+    nodes = grid.nodes
+    best = {key: (0.0, (0, 0)) for key in exps}
+    n_pairs = 0
+    for s, t in _iter_pairs(grid.N, scheme):
+        n_pairs += s.size
+        gaps = nodes[t] - nodes[s]
+        for key, vals in evaluate(s, t).items():
+            ratios = _flat_norm(vals) / gaps ** exps[key]
+            k = int(np.argmax(ratios))
+            if ratios[k] > best[key][0]:
+                best[key] = (float(ratios[k]), (int(s[k]), int(t[k])))
+    return {key: HolderReport(value=val, gamma=exps[key], scheme=scheme,
+                              argmax=arg, n_pairs=n_pairs)
+            for key, (val, arg) in best.items()}
+
+
 def holder_norm(evaluate, gamma: float, grid: core.Grid,
                 scheme: str = "auto") -> HolderReport:
     """sup over node pairs of |evaluate(s, t)| / (t - s)^gamma.
@@ -77,17 +101,15 @@ def holder_norm(evaluate, gamma: float, grid: core.Grid,
     ``evaluate`` maps equal-length index arrays (s, t) to values with
     leading pair axis; trailing axes are reduced by the Frobenius norm.
     """
-    scheme = resolve_scheme(scheme, grid.N)
-    nodes = grid.nodes
-    best, arg, n_pairs = 0.0, (0, 0), 0
-    for s, t in _iter_pairs(grid.N, scheme):
-        ratios = _flat_norm(evaluate(s, t)) / (nodes[t] - nodes[s]) ** gamma
-        k = int(np.argmax(ratios))
-        n_pairs += s.size
-        if ratios[k] > best:
-            best, arg = float(ratios[k]), (int(s[k]), int(t[k]))
-    return HolderReport(value=best, gamma=gamma, scheme=scheme, argmax=arg,
-                        n_pairs=n_pairs)
+    return _holder_sweep(lambda s, t: {0: evaluate(s, t)}, {0: gamma},
+                         grid, scheme)[0]
+
+
+def _pair_values(prp: core.PartialRoughPath, s, t) -> dict:
+    """Every stored component over the pairs: "xhat", level 1, level 2."""
+    v1 = core.level1_pairs(prp, s, t)
+    return {"xhat": prp.xhat[t] - prp.xhat[s], **v1,
+            **core.level2_pairs(prp, s, t, v1)}
 
 
 def _component_sweep(prp: core.PartialRoughPath, scheme: str, other=None):
@@ -97,37 +119,22 @@ def _component_sweep(prp: core.PartialRoughPath, scheme: str, other=None):
     (prp - other) instead.  Returns dicts keyed "xhat", multi-indices,
     and pairs, each mapping to a HolderReport.
     """
-    cfg, grid = prp.config, prp.grid
-    scheme = resolve_scheme(scheme, grid.N)
-    nodes = grid.nodes
+    cfg = prp.config
     alpha, beta = cfg.alpha, cfg.beta
     exps = {"xhat": beta}
     for i in cfg.I:
         exps[i] = core.midx_degree(i) * beta + alpha
     for (j, k) in cfg.J:
         exps[(j, k)] = (core.midx_degree(j) + core.midx_degree(k)) * beta + 2.0 * alpha
-    best = {key: (0.0, (0, 0)) for key in exps}
-    n_pairs = 0
-    for s, t in _iter_pairs(grid.N, scheme):
-        n_pairs += s.size
-        gaps = nodes[t] - nodes[s]
-        xh = prp.xhat[t] - prp.xhat[s]
-        v1 = core.level1_pairs(prp, s, t)
-        v2 = core.level2_pairs(prp, s, t, level1_vals=v1)
-        if other is not None:
-            xh = xh - (other.xhat[t] - other.xhat[s])
-            w1 = core.level1_pairs(other, s, t)
-            w2 = core.level2_pairs(other, s, t, level1_vals=w1)
-            v1 = {i: v1[i] - w1[i] for i in v1}
-            v2 = {jk: v2[jk] - w2[jk] for jk in v2}
-        for key, vals in [("xhat", xh)] + list(v1.items()) + list(v2.items()):
-            ratios = _flat_norm(vals) / gaps ** exps[key]
-            k = int(np.argmax(ratios))
-            if ratios[k] > best[key][0]:
-                best[key] = (float(ratios[k]), (int(s[k]), int(t[k])))
-    return {key: HolderReport(value=val, gamma=exps[key], scheme=scheme,
-                              argmax=arg, n_pairs=n_pairs)
-            for key, (val, arg) in best.items()}
+
+    def evaluate(s, t):
+        vals = _pair_values(prp, s, t)
+        if other is None:
+            return vals
+        theirs = _pair_values(other, s, t)
+        return {key: v - theirs[key] for key, v in vals.items()}
+
+    return _holder_sweep(evaluate, exps, prp.grid, scheme)
 
 
 def component_holder_norms(prp: core.PartialRoughPath, scheme: str = "auto"):
@@ -222,9 +229,9 @@ def chen_defect_report(prp: core.PartialRoughPath, n_triples: int = 1000,
     v1_st = core.level1_pairs(prp, s, t)
     v1_su = core.level1_pairs(prp, s, u)
     v1_ut = core.level1_pairs(prp, u, t)
-    v2_st = core.level2_pairs(prp, s, t, level1_vals=v1_st)
-    v2_su = core.level2_pairs(prp, s, u, level1_vals=v1_su)
-    v2_ut = core.level2_pairs(prp, u, t, level1_vals=v1_ut)
+    v2_st = core.level2_pairs(prp, s, t, v1_st)
+    v2_su = core.level2_pairs(prp, s, u, v1_su)
+    v2_ut = core.level2_pairs(prp, u, t, v1_ut)
     pows = core._PowerCache(prp.xhat[u] - prp.xhat[s])
 
     def coef(diff, w):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .exceptions import DomainError, NumericalError
 
@@ -25,7 +25,7 @@ def call_price(spot, strike, maturity, vol):
         raise DomainError("maturity and vol must be positive")
     sq = vol * np.sqrt(maturity)
     d1 = np.log(spot / strike) / sq + 0.5 * sq
-    out = spot * norm.cdf(d1) - strike * norm.cdf(d1 - sq)
+    out = spot * ndtr(d1) - strike * ndtr(d1 - sq)
     return float(out) if out.ndim == 0 else out
 
 

@@ -141,9 +141,9 @@ def _bound_check_payload(cfg, prp, f, rp, m_norm):
     alpha = prp.config.alpha
     k_bound = estimate_deriv_bound(f, prp.xhat, prp.config.n + 2)
     consts = theoretical_bounds(prp.config, m_norm, k_bound)
-    h1 = analysis.holder_norm(rp.level1_pairs, alpha, prp.grid, scheme=scheme)
-    h2 = analysis.holder_norm(rp.level2_pairs, 2.0 * alpha, prp.grid,
-                              scheme=scheme)
+    h1, h2 = analysis._holder_sweep(
+        lambda s, t: {1: rp.level1_pairs(s, t), 2: rp.level2_pairs(s, t)},
+        {1: alpha, 2: 2.0 * alpha}, prp.grid, scheme).values()
     return {
         "M": m_norm,
         "K": k_bound,

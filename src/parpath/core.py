@@ -24,9 +24,9 @@ and level-2 data as
                                 * XX^(pq)_{ut}.
 
 Solving these at ``(0, s, t)`` for the top term expresses any pair value
-through anchored data and lower-order pair values, which is what the
-``reconstruct_*`` functions do (recursing in graded order, all indices
-of one query computed in a single pass).
+through anchored data and lower-order pair values, which is what
+:func:`level1_pairs` and :func:`level2_pairs` do: one pass in graded
+order yields the whole family over a batch of pairs.
 """
 
 from __future__ import annotations
@@ -301,16 +301,17 @@ class PartialRoughPath:
         return self.grid.N
 
 
-def _as_pair_indices(prp, s, t):
+def _as_pair_indices(path, s, t):
+    """Validated node pairs of any path with an ``N`` (lift or integral)."""
     s = np.atleast_1d(np.asarray(s, dtype=np.int64))
     t = np.atleast_1d(np.asarray(t, dtype=np.int64))
     if s.shape != t.shape or s.ndim != 1:
         raise DomainError("s and t must be 1-d index arrays of equal length")
-    N = prp.N
+    N = path.N
     if s.size and (s.min() < 0 or t.max() > N):
         raise DomainError(f"node indices must lie in [0, {N}]")
     if np.any(s > t):
-        raise DomainError("reconstruction requires s <= t")
+        raise DomainError("node pairs need s <= t")
     return s, t
 
 
@@ -339,91 +340,70 @@ class _PowerCache:
         return self._pows[0][0] if out is None else out
 
 
-def level1_pairs(prp: PartialRoughPath, s, t, indices=None):
-    """Level-1 values over node pairs, for several indices at once.
+def level1_pairs(prp: PartialRoughPath, s, t):
+    """Level-1 values over node pairs, every index of I in one pass.
 
     Parameters
     ----------
     s, t : int arrays, shape (P,)
         Node indices with ``s <= t`` elementwise.
-    indices : iterable of multi-indices, optional
-        Targets (default: the full level-1 set).  The graded recursion
-        computes the downward closure of the targets in one pass.
 
     Returns
     -------
-    dict multi-index -> ndarray (P, d)
+    dict multi-index -> ndarray (P, d), in the graded order of I
     """
     cfg = prp.config
     s, t = _as_pair_indices(prp, s, t)
-    if indices is None:
-        targets = cfg.I
-    else:
-        targets = [cfg.require_level1(i) for i in indices]
-    needed = set()
-    for i in targets:
-        needed.update(p for p, _, _ in cfg._down1[i])
-    order = sorted(needed, key=lambda p: (midx_degree(p), p))
     pows = _PowerCache(prp.xhat[s])
     vals = {}
-    for i in order:
+    for i in cfg.I:
         v = prp.a[i][t] - prp.a[i][s]
         for p, diff, w in cfg._down1[i][:-1]:
             coef = pows.coefficient(diff)
             term = w * vals[p]
             v = v - (term if coef is None else coef[:, None] * term)
         vals[i] = v
-    return {i: vals[i] for i in targets}
+    return vals
 
 
-def level2_pairs(prp: PartialRoughPath, s, t, pairs=None, level1_vals=None):
-    """Level-2 values over node pairs; see :func:`level1_pairs`.
+def level2_pairs(prp: PartialRoughPath, s, t, level1):
+    """Level-2 values over node pairs, every pair of J in one pass.
+
+    ``level1`` holds :func:`level1_pairs` over the same pairs.
 
     Returns
     -------
-    dict pair -> ndarray (P, d, d)
+    dict pair -> ndarray (P, d, d), in the graded order of J
     """
     cfg = prp.config
     s, t = _as_pair_indices(prp, s, t)
-    if pairs is None:
-        targets = cfg.J
-    else:
-        targets = [cfg.require_level2(jk) for jk in pairs]
-    needed = set()
-    for jk in targets:
-        needed.update(pq for pq, _, _ in cfg._down2[jk])
-    order = sorted(needed, key=lambda pq: (midx_degree(pq[0]) + midx_degree(pq[1]), pq))
-    level1_needed = {q for (_, k) in order for q, _, _ in cfg._down1[k]}
-    if level1_vals is None or not level1_needed.issubset(level1_vals):
-        level1_vals = level1_pairs(prp, s, t, indices=sorted(
-            level1_needed, key=lambda p: (midx_degree(p), p)))
     pows = _PowerCache(prp.xhat[s])
     vals = {}
-    for (j, k) in order:
+    for (j, k) in cfg.J:
         v = prp.b[(j, k)][t] - prp.b[(j, k)][s]
         aj_s = prp.a[j][s]  # (P, d), anchored level-1 value at s
         for q, diff, w in cfg._down1[k]:
             coef = pows.coefficient(diff)
-            outer = np.einsum("pa,pb->pab", aj_s, level1_vals[q])
+            outer = np.einsum("pa,pb->pab", aj_s, level1[q])
             v = v - (w * outer if coef is None else (w * coef)[:, None, None] * outer)
         for pq, diff, w in cfg._down2[(j, k)][:-1]:
             coef = pows.coefficient(diff)
             term = w * vals[pq]
             v = v - (term if coef is None else coef[:, None, None] * term)
         vals[(j, k)] = v
-    return {jk: vals[jk] for jk in targets}
+    return vals
 
 
 def reconstruct_level1(prp: PartialRoughPath, i, s: int, t: int) -> np.ndarray:
     """Level-1 value X^(i) over one node pair, shape (d,)."""
     i = prp.config.require_level1(tuple(i))
-    return level1_pairs(prp, [s], [t], indices=[i])[i][0]
+    return level1_pairs(prp, [s], [t])[i][0]
 
 
 def reconstruct_level2(prp: PartialRoughPath, jk, s: int, t: int) -> np.ndarray:
     """Level-2 value XX^(jk) over one node pair, shape (d, d)."""
     jk = prp.config.require_level2((tuple(jk[0]), tuple(jk[1])))
-    return level2_pairs(prp, [s], [t], pairs=[jk])[jk][0]
+    return level2_pairs(prp, [s], [t], level1_pairs(prp, [s], [t]))[jk][0]
 
 
 def lift_sampled_paths(xhat, x, config: IndexConfig, grid: Grid,

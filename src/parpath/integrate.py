@@ -62,21 +62,12 @@ class RoughPath:
     def d(self) -> int:
         return self.y1.shape[1]
 
-    def _pair_idx(self, s, t):
-        s = np.atleast_1d(np.asarray(s, dtype=np.int64))
-        t = np.atleast_1d(np.asarray(t, dtype=np.int64))
-        if s.shape != t.shape:
-            raise DomainError("s and t must have equal shape")
-        if s.size and (s.min() < 0 or t.max() > self.N or np.any(s > t)):
-            raise DomainError("need 0 <= s <= t <= N")
-        return s, t
-
     def level1_pairs(self, s, t):
-        s, t = self._pair_idx(s, t)
+        s, t = core._as_pair_indices(self, s, t)
         return self.y1[t] - self.y1[s]
 
     def level2_pairs(self, s, t):
-        s, t = self._pair_idx(s, t)
+        s, t = core._as_pair_indices(self, s, t)
         return (self.y2[t] - self.y2[s]
                 - np.einsum("pa,pb->pab", self.y1[s], self.y1[t] - self.y1[s]))
 
@@ -126,7 +117,8 @@ def compensated_sum_level2(prp: core.PartialRoughPath, f: VolFunction,
     y1_nodes = np.asarray(y1_nodes, dtype=np.float64)
     if y1_nodes.shape != (prp.N + 1, prp.config.d):
         raise DomainError("y1_nodes must cover the full grid")
-    x2 = core.level2_pairs(prp, lefts, rights)
+    x2 = core.level2_pairs(prp, lefts, rights,
+                           core.level1_pairs(prp, lefts, rights))
     xs = prp.xhat[lefts]
     first_indices = {jk[0] for jk in prp.config.J}
     second_indices = {jk[1] for jk in prp.config.J}
@@ -174,7 +166,7 @@ def integral(prp: core.PartialRoughPath, f: VolFunction) -> RoughPath:
     lefts = np.arange(N, dtype=np.int64)
     rights = lefts + 1
     x1c = core.level1_pairs(prp, lefts, rights)
-    x2c = core.level2_pairs(prp, lefts, rights, level1_vals=x1c)
+    x2c = core.level2_pairs(prp, lefts, rights, x1c)
     xs = prp.xhat[:-1]
     indices = set(cfg.I) | {jk[0] for jk in cfg.J} | {jk[1] for jk in cfg.J}
     df = _partials_at(f, indices, xs)
@@ -251,13 +243,11 @@ def distance_alpha(ra: RoughPath, rb: RoughPath, alpha: float,
     """Two-level Hoelder distance between integral paths."""
     if ra.grid != rb.grid:
         raise DomainError("paths live on different grids")
-    n1 = analysis.holder_norm(
-        lambda s, t: ra.level1_pairs(s, t) - rb.level1_pairs(s, t),
-        alpha, ra.grid, scheme=scheme)
-    n2 = analysis.holder_norm(
-        lambda s, t: ra.level2_pairs(s, t) - rb.level2_pairs(s, t),
-        2.0 * alpha, ra.grid, scheme=scheme)
-    return n1.value + n2.value
+    reports = analysis._holder_sweep(
+        lambda s, t: {1: ra.level1_pairs(s, t) - rb.level1_pairs(s, t),
+                      2: ra.level2_pairs(s, t) - rb.level2_pairs(s, t)},
+        {1: alpha, 2: 2.0 * alpha}, ra.grid, scheme)
+    return reports[1].value + reports[2].value
 
 
 def zeta_sum(r: float) -> float:

@@ -208,17 +208,14 @@ def volterra_convolve_batch(dW, aux, spec: KernelSpec, grid: core.Grid) -> np.nd
             raise DomainError("aux must match dW in shape")
         touch = touch + sd * aux
     out[:, 1] = touch[:, 0]
-    if N >= 2:
-        conv = _convolve_rows(tail, dW[:, : N - 1])
-        out[:, 2:] = conv[:, : N - 1] + touch[:, 1:]
+    conv = _convolve_rows(tail, dW[:, : N - 1])
+    out[:, 2:] = conv[:, : N - 1] + touch[:, 1:]
     return out
 
 
 def _convolve_rows(kernel_vec, rows):
     """Row-wise full convolution, strategy fixed by N alone."""
     B, L = rows.shape
-    if L == 0:
-        return np.zeros((B, 0))
     if L + 1 <= _DIRECT_CONV_MAX:
         return np.stack([np.convolve(kernel_vec[:L], rows[b]) for b in range(B)])[:, :L]
     size = scipy.fft.next_fast_len(2 * L - 1)

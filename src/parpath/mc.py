@@ -337,9 +337,11 @@ def ito_consistency_check(kernel: KernelSpec, config: core.IndexConfig,
         if fine_cells % c:
             raise ConfigurationError("coarse partitions must divide the fine grid")
     grid = core.Grid(T=T, N=fine_cells)
+    draw = _DrawBuffer()
 
     def worker(cid, count):
-        dW, dX, aux = _draw_increments(seed, cid, count, grid, rho)
+        dW, dX, aux = _draw_increments(seed, cid, count, grid, rho,
+                                       out=draw.view((3, count, grid.N)))
         out = np.zeros((count, len(coarse_cells)))
         for b in range(count):
             xhat = _driver_xhat(dW[b:b + 1], aux[b:b + 1], kernel, grid)[0]
@@ -474,9 +476,11 @@ def rde_convergence_check(sigma: SigmaFunction, f: VolFunction,
     m = sigma.b * f.c
     fine = core.Grid(T=T, N=2 * n_coarse)
     coarse = core.Grid(T=T, N=n_coarse)
+    draw = _DrawBuffer()
 
     def worker(cid, count):
-        dW, dX, aux = _draw_increments(seed, cid, count, fine, rho)
+        _, dX, _ = _draw_increments(seed, cid, count, fine, rho,
+                                    out=draw.view((3, count, fine.N)))
         out = np.zeros((count, 2))
         for res, (g, inc) in enumerate(
                 [(coarse, dX.reshape(count, n_coarse, 2).sum(axis=2)), (fine, dX)]):
@@ -530,8 +534,11 @@ def ldp_tail_check(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
     (the affine-in-u model with a polynomial prefactor), and reports
     the u-slope over the rate value from :func:`minimize_rate`.  Times
     with fewer than ``min_count`` exceedances are dropped; fewer than
-    three usable times raises :class:`InsufficientDataError`.
+    three usable times raises :class:`InsufficientDataError`.  The
+    threshold ``z`` must be positive: the fit is for the upper tail.
     """
+    if not z > 0:
+        raise ConfigurationError(f"tail threshold z must be positive, got {z}")
     H = rate_problem.H
     snaps = _nodes_for_times(grid, t_values)
     t_arr = grid.nodes[snaps]

@@ -73,7 +73,7 @@ def test_reconstruction_matches_double_sums(capsys):
         s_arr = [p[0] for p in pairs]
         t_arr = [p[1] for p in pairs]
         v1 = core.level1_pairs(prp, s_arr, t_arr)
-        v2 = core.level2_pairs(prp, s_arr, t_arr)
+        v2 = core.level2_pairs(prp, s_arr, t_arr, v1)
         for pos, (s, t) in enumerate(pairs):
             for i in cfg.I:
                 want = oracle_level1(prp.xhat, x - x[0], i, s, t)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from parpath import core
+from parpath import analysis, core
 from parpath.analysis import (
     chen_defect_report,
     component_holder_norms,
@@ -82,6 +82,26 @@ def test_holder_norm_matches_bruteforce_multiaxis():
     assert attained == pytest.approx(rep.value, rel=1e-14)
 
 
+def test_holder_norm_is_the_one_key_sweep():
+    grid = core.Grid(T=1.0, N=16)
+    gen = np.random.default_rng(5)
+    path = np.cumsum(gen.normal(size=(17, 2)), axis=0)
+    rough = np.cumsum(gen.normal(size=(17, 3, 3)), axis=0)
+    evaluate = {"a": lambda s, t: path[t] - path[s],
+                "b": lambda s, t: rough[t] - rough[s]}
+    exps = {"a": 0.4, "b": 0.8}
+    for scheme in ("exhaustive", "dyadic"):
+        both = analysis._holder_sweep(
+            lambda s, t: {key: fn(s, t) for key, fn in evaluate.items()},
+            exps, grid, scheme)
+        for key, fn in evaluate.items():
+            one = analysis._holder_sweep(lambda s, t: {key: fn(s, t)},
+                                         {key: exps[key]}, grid, scheme)[key]
+            rep = holder_norm(fn, exps[key], grid, scheme=scheme)
+            # value, argmax, n_pairs, gamma and scheme all agree
+            assert rep == one == both[key]
+
+
 def test_dyadic_scheme_underestimates(default_cfg):
     prp = _walk_prp(default_cfg, 128, 21)
     evaluate = lambda s, t: prp.xhat[t] - prp.xhat[s]
@@ -149,8 +169,8 @@ def test_dilation_scales_pair_values(small_cfg):
     for i in small_cfg.I:
         scale = lam ** (core.midx_degree(i) + 1)
         np.testing.assert_allclose(w1[i], scale * v1[i], rtol=1e-12, atol=1e-14)
-    v2 = core.level2_pairs(prp, s, t)
-    w2 = core.level2_pairs(dil, s, t)
+    v2 = core.level2_pairs(prp, s, t, v1)
+    w2 = core.level2_pairs(dil, s, t, w1)
     for (j, k) in small_cfg.J:
         scale = lam ** (core.midx_degree(j) + core.midx_degree(k) + 2)
         np.testing.assert_allclose(w2[(j, k)], scale * v2[(j, k)], rtol=1e-12, atol=1e-14)

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -19,6 +22,27 @@ def test_out_of_the_money_value():
     d1 = np.log(100.0 / 110.0) / sq + 0.5 * sq
     expect = 100.0 * norm.cdf(d1) - 110.0 * norm.cdf(d1 - sq)
     assert call_price(100.0, 110.0, 0.5, 0.25) == pytest.approx(expect, rel=1e-14)
+
+
+def test_call_price_matches_normal_cdf_formula():
+    spot = np.array([80.0, 100.0, 120.0, 100.0])
+    strike = np.array([100.0, 100.0, 90.0, 1e-3])
+    maturity = np.array([0.25, 1.0, 2.0, 0.5])
+    vol = np.array([0.2, 0.05, 1.5, 3.0])
+    sq = vol * np.sqrt(maturity)
+    d1 = np.log(spot / strike) / sq + 0.5 * sq
+    expect = spot * norm.cdf(d1) - strike * norm.cdf(d1 - sq)
+    np.testing.assert_array_equal(call_price(spot, strike, maturity, vol), expect)
+    np.testing.assert_array_equal(call_price(spot[0], strike[0], maturity[0], vol[0]),
+                                  expect[0])
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    code = "import sys, parpath.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_price_monotone_and_bounded():

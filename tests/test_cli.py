@@ -241,7 +241,7 @@ def test_integrate_trace_and_bounds(tmp_path):
 
 
 def test_verify_and_integrate_compute_each_quantity_once(tmp_path, monkeypatch):
-    calls = {"sweep": 0, "integral": 0, "trace": 0}
+    calls = {"sweep": 0, "pairs": 0, "integral": 0, "trace": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -251,6 +251,9 @@ def test_verify_and_integrate_compute_each_quantity_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(analysis, "_component_sweep",
                         counted("sweep", analysis._component_sweep))
+    # One call per pass over the node pairs of the grid.
+    monkeypatch.setattr(analysis, "_iter_pairs",
+                        counted("pairs", analysis._iter_pairs))
     # Every binding of integral(); rough_integrate is the traced integrate().
     integral = counted("integral", integrate_mod.integral)
     for module in (integrate_mod, cli, rde):
@@ -258,11 +261,13 @@ def test_verify_and_integrate_compute_each_quantity_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "rough_integrate",
                         counted("trace", cli.rough_integrate))
     cfg = _cfg(tmp_path, SMALL_LIFT + "model.n_paths = 3\n")
-    expected = {"verify": {"sweep": 1, "integral": 1, "trace": 0},
-                "rde": {"sweep": 0, "integral": 3, "trace": 0},
-                "integrate": {"sweep": 1, "integral": 1, "trace": 1}}
+    # verify and integrate: one sweep over the lift's components and one
+    # over both levels of the integral.
+    expected = {"verify": {"sweep": 1, "pairs": 2, "integral": 1, "trace": 0},
+                "rde": {"sweep": 0, "pairs": 0, "integral": 3, "trace": 0},
+                "integrate": {"sweep": 1, "pairs": 2, "integral": 1, "trace": 1}}
     for command, counts in expected.items():
-        calls.update(sweep=0, integral=0, trace=0)
+        calls.update(sweep=0, pairs=0, integral=0, trace=0)
         assert main([command, "--config", cfg,
                      "--out", str(tmp_path / command)]) == 0
         assert calls == counts, command
@@ -451,6 +456,17 @@ def test_mc_ldp_consistency_guards(tmp_path, capsys, swap, needle):
     cfg = _cfg(tmp_path, LDP.replace(*swap))
     assert main(["mc", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("z", ["0", "-0.15"])
+def test_mc_ldp_rejects_non_positive_threshold(tmp_path, capsys, z):
+    # z = 0 made the fit's statistic infinite (not valid JSON), and z < 0
+    # scored upper-tail counts against a lower-tail rate.
+    cfg = _cfg(tmp_path, LDP.replace("mc.z = 0.15", f"mc.z = {z}"))
+    out = tmp_path / "x"
+    assert main(["mc", "--config", cfg, "--out", str(out)]) == 2
+    assert "z must be positive" in capsys.readouterr().err
+    assert not (out / "mc_summary.json").exists()
 
 
 def test_mc_unknown_check(tmp_path, capsys):

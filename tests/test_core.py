@@ -98,7 +98,8 @@ def test_batched_pairs_match_single(walk_prp):
     s = np.array([0, 3, 10, 64])
     t = np.array([5, 3, 127, 128])
     v1 = level1_pairs(walk_prp, s, t)
-    v2 = level2_pairs(walk_prp, s, t)
+    v2 = level2_pairs(walk_prp, s, t, v1)
+    assert list(v1) == list(cfg.I) and list(v2) == list(cfg.J)
     for p in range(s.size):
         for i in cfg.I:
             assert np.array_equal(
@@ -112,7 +113,7 @@ def test_first_use_of_the_tables_from_many_threads(walk_prp):
     # Each thread's first query may build the shared splitting tables.
     s = np.array([0, 3, 10, 64])
     t = np.array([5, 3, 127, 128])
-    want = level2_pairs(walk_prp, s, t)
+    want = level2_pairs(walk_prp, s, t, level1_pairs(walk_prp, s, t))
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -121,7 +122,8 @@ def test_first_use_of_the_tables_from_many_threads(walk_prp):
             prp = lift_sampled_paths(walk_prp.xhat, walk_prp.a[(0, 0)],
                                      build_index_sets(0.4, 0.08, 2), walk_prp.grid)
             workers = [threading.Thread(
-                target=lambda: results.append(level2_pairs(prp, s, t)))
+                target=lambda: results.append(
+                    level2_pairs(prp, s, t, level1_pairs(prp, s, t))))
                 for _ in range(8)]
             for w in workers:
                 w.start()
@@ -133,20 +135,6 @@ def test_first_use_of_the_tables_from_many_threads(walk_prp):
     assert len(results) == 24
     for got in results:
         assert all(np.array_equal(got[jk], want[jk]) for jk in want)
-
-
-def test_subset_queries(walk_prp):
-    cfg = walk_prp.config
-    s = np.array([2, 9])
-    t = np.array([40, 77])
-    top = max(cfg.I, key=sum)
-    only = level1_pairs(walk_prp, s, t, indices=[top])
-    assert set(only) == {top}
-    assert np.array_equal(only[top], level1_pairs(walk_prp, s, t)[top])
-    jk = cfg.J[-1]
-    only2 = level2_pairs(walk_prp, s, t, pairs=[jk])
-    assert set(only2) == {jk}
-    assert np.array_equal(only2[jk], level2_pairs(walk_prp, s, t)[jk])
 
 
 def test_lift_anchors_and_shapes(small_cfg):
