@@ -94,9 +94,13 @@ def compensated_sum_level1(prp: core.PartialRoughPath, f: VolFunction,
     Each cell contributes ``sum_i d^i f(xhat_left) X^(i)_cell``.
     """
     part = _check_partition(prp, partition)
-    lefts, rights = part[:-1], part[1:]
-    x1 = core.level1_pairs(prp, lefts, rights)
-    df = _partials_at(f, prp.config.I, prp.xhat[lefts])
+    x1 = core.level1_pairs(prp, part[:-1], part[1:])
+    return _sum_level1(prp, f, part, x1)
+
+
+def _sum_level1(prp, f, part, x1):
+    """The first-level sum on a checked partition with cell values x1."""
+    df = _partials_at(f, prp.config.I, prp.xhat[part[:-1]])
     total = np.zeros(prp.config.d)
     for i in prp.config.I:
         total += df[i] @ x1[i]
@@ -113,12 +117,17 @@ def compensated_sum_level2(prp: core.PartialRoughPath, f: VolFunction,
     remaining term weights level-2 cells by products of partials of f.
     """
     part = _check_partition(prp, partition)
-    lefts, rights = part[:-1], part[1:]
     y1_nodes = np.asarray(y1_nodes, dtype=np.float64)
     if y1_nodes.shape != (prp.N + 1, prp.config.d):
         raise DomainError("y1_nodes must cover the full grid")
-    x2 = core.level2_pairs(prp, lefts, rights,
-                           core.level1_pairs(prp, lefts, rights))
+    x1 = core.level1_pairs(prp, part[:-1], part[1:])
+    return _sum_level2(prp, f, part, y1_nodes, x1)
+
+
+def _sum_level2(prp, f, part, y1_nodes, x1):
+    """The second-level sum on a checked partition with level-1 cells x1."""
+    lefts, rights = part[:-1], part[1:]
+    x2 = core.level2_pairs(prp, lefts, rights, x1)
     xs = prp.xhat[lefts]
     first_indices = {jk[0] for jk in prp.config.J}
     second_indices = {jk[1] for jk in prp.config.J}
@@ -207,8 +216,10 @@ def integrate(prp: core.PartialRoughPath, f: VolFunction, tol: float = 1e-9):
             j1 = y1[-1].copy()
             j2 = y2[-1].copy()
         else:
-            j1 = compensated_sum_level1(prp, f, part)
-            j2 = compensated_sum_level2(prp, f, part, y1)
+            # One level-1 result per partition serves both sums.
+            x1 = core.level1_pairs(prp, part[:-1], part[1:])
+            j1 = _sum_level1(prp, f, part, x1)
+            j2 = _sum_level2(prp, f, part, y1, x1)
         levels.append(level)
         n_cells.append(part.size - 1)
         j1s.append(j1)

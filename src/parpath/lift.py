@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import scipy.fft
@@ -172,7 +173,71 @@ def _hybrid_cell_coeffs(spec: KernelSpec, delta: float):
     return mu, math.sqrt(resid)
 
 
-def volterra_convolve_batch(dW, aux, spec: KernelSpec, grid: core.Grid) -> np.ndarray:
+class _Workspace:
+    """Named arrays that each thread reuses, plus values built once.
+
+    ``view(name, shape)`` returns the leading elements of the calling
+    thread's array ``name``, reallocated only when it is too small, so a
+    stage that runs block after block touches the same pages.
+    ``once(key, build)`` keeps one value per key for every thread; keys
+    name their inputs, and the values are only read.  Make one
+    workspace per engine call and pass it down: nothing outlives the
+    call.  Without one, a stage makes a fresh workspace, which is the
+    same code on new arrays.
+    """
+
+    def __init__(self):
+        self._local = threading.local()
+        self._shared = {}
+
+    def view(self, name: str, shape, dtype=np.float64) -> np.ndarray:
+        arrays = self._local.__dict__
+        size = math.prod(shape)
+        arr = arrays.get(name)
+        if arr is None or arr.size < size:
+            arr = arrays[name] = np.empty(size, dtype)
+        return arr[:size].reshape(shape)
+
+    def once(self, key, build):
+        if key not in self._shared:
+            # Racing threads build equal values; either may be kept.
+            self._shared[key] = build()
+        return self._shared[key]
+
+
+@dataclasses.dataclass(frozen=True)
+class _ConvolutionPlan:
+    """What the convolution needs of (kernel, grid) besides the draw.
+
+    ``tail`` holds the exact cell averages of the kernel at lags >= 2,
+    ``mu``/``sd`` the touching-cell coefficients, and for N past the
+    direct-sum limit ``size``/``kf`` the FFT length and the spectrum of
+    ``tail``.
+    """
+
+    tail: np.ndarray
+    mu: float
+    sd: float
+    size: int | None
+    kf: np.ndarray | None
+
+    @staticmethod
+    def build(spec: KernelSpec, grid: core.Grid) -> "_ConvolutionPlan":
+        N, delta = grid.N, grid.delta
+        lags = np.arange(1, N + 1) * delta
+        Fvals = kernel_antideriv(spec, np.concatenate([[0.0], lags]))
+        w = np.diff(Fvals) / delta  # exact cell averages, lag 1..N
+        mu, sd = _hybrid_cell_coeffs(spec, delta)
+        tail = w[1:]  # lags >= 2
+        L = N - 1  # rows of dW convolved with tail
+        if L + 1 <= _DIRECT_CONV_MAX:
+            return _ConvolutionPlan(tail, mu, sd, None, None)
+        size = scipy.fft.next_fast_len(2 * L - 1)
+        return _ConvolutionPlan(tail, mu, sd, size, np.fft.rfft(tail[:L], size))
+
+
+def volterra_convolve_batch(dW, aux, spec: KernelSpec, grid: core.Grid,
+                            work: _Workspace | None = None) -> np.ndarray:
     """Stochastic convolution paths for a batch of increment rows.
 
     Parameters
@@ -180,48 +245,61 @@ def volterra_convolve_batch(dW, aux, spec: KernelSpec, grid: core.Grid) -> np.nd
     dW : ndarray (B, N)
     aux : ndarray (B, N) or None
         Touching-cell normals (None means zeros).
+    work : _Workspace or None
+        Where the result and the FFT arrays live and the kernel's plan
+        is kept (None means a fresh one).
 
     Returns
     -------
-    ndarray (B, N+1), paths started at 0.
+    ndarray (B, N+1), paths started at 0.  With ``work`` it is a view
+    that the next call overwrites.
     """
     dW = np.asarray(dW, dtype=np.float64)
     if dW.ndim != 2 or dW.shape[1] != grid.N:
         raise DomainError(f"dW must have shape (B, {grid.N})")
+    work = _Workspace() if work is None else work
     B, N = dW.shape
-    delta = grid.delta
-    out = np.zeros((B, N + 1))
+    out = work.view("conv", (B, N + 1))
+    out[:, 0] = 0.0
     if spec.eta == 0.0:
         # Constant kernel: the convolution is const * W exactly, including
         # the touching cell (its residual variance vanishes).
         out[:, 1:] = spec.const * np.cumsum(dW, axis=1)
         return out
-    lags = np.arange(1, N + 1) * delta
-    Fvals = kernel_antideriv(spec, np.concatenate([[0.0], lags]))
-    w = np.diff(Fvals) / delta  # exact cell averages, lag 1..N
-    mu, sd = _hybrid_cell_coeffs(spec, delta)
-    tail = w[1:]  # lags >= 2
-    touch = mu * dW
-    if aux is not None and sd > 0.0:
+    plan = work.once(("convolution", spec, grid),
+                     lambda: _ConvolutionPlan.build(spec, grid))
+    touch = np.multiply(plan.mu, dW, out=work.view("touch", (B, N)))
+    if aux is not None and plan.sd > 0.0:
         aux = np.asarray(aux, dtype=np.float64)
         if aux.shape != dW.shape:
             raise DomainError("aux must match dW in shape")
-        touch = touch + sd * aux
+        # out[:, 1:] is scratch for sd * aux until the paths are written.
+        touch += np.multiply(plan.sd, aux, out=out[:, 1:])
     out[:, 1] = touch[:, 0]
-    conv = _convolve_rows(tail, dW[:, : N - 1])
-    out[:, 2:] = conv[:, : N - 1] + touch[:, 1:]
+    conv = _convolve_rows(plan, dW[:, : N - 1], work)
+    np.add(conv, touch[:, 1:], out=out[:, 2:])
     return out
 
 
-def _convolve_rows(kernel_vec, rows):
-    """Row-wise full convolution, strategy fixed by N alone."""
+def _convolve_rows(plan: _ConvolutionPlan, rows, work: _Workspace):
+    """Row-wise full convolution with ``plan.tail``, first L terms.
+
+    The strategy is fixed by N alone.  The FFT multiplies with the
+    kernel spectrum as the first operand: ``spec * kf`` differs in the
+    last bits.
+    """
     B, L = rows.shape
-    if L + 1 <= _DIRECT_CONV_MAX:
-        return np.stack([np.convolve(kernel_vec[:L], rows[b]) for b in range(B)])[:, :L]
-    size = scipy.fft.next_fast_len(2 * L - 1)
-    kf = scipy.fft.rfft(kernel_vec[:L], size)
-    rf = scipy.fft.rfft(rows, size, axis=1)
-    return scipy.fft.irfft(kf[None, :] * rf, size, axis=1)[:, :L]
+    if plan.kf is None:
+        return np.stack([np.convolve(plan.tail[:L], rows[b]) for b in range(B)])[:, :L]
+    pad = work.view("fft_pad", (B, plan.size))
+    pad[:, :L] = rows
+    pad[:, L:] = 0.0
+    spec = work.view("fft_spec", (B, plan.kf.size), np.complex128)
+    np.fft.rfft(pad, axis=1, out=spec)
+    np.multiply(plan.kf[None, :], spec, out=spec)
+    back = work.view("fft_back", (B, plan.size))
+    np.fft.irfft(spec, plan.size, axis=1, out=back)
+    return back[:, :L]
 
 
 def volterra_convolve(bundle: BrownianBundle, spec: KernelSpec) -> np.ndarray:

@@ -6,14 +6,19 @@ boundaries depend only on the chunk size, never on the thread count,
 and block results are reduced in block order, so every statistic here
 is bit-reproducible for 1 or many worker threads.
 
-Inside a chunk the normals are drawn once, into a buffer that each
-worker thread reuses for the length of one engine call.  Convolution,
-vol function and cumulative levels then run on row blocks of 64 paths,
-so their temporaries stay a few MB however large the chunk; every one
-of them is row-wise, so blocking changes no bit.  Constant sigma
-telescopes to the first level and the second level is never formed.
-Any other sigma gathers the chunk's levels and calls the stepper once
-per chunk: its Python loop over nodes costs the same at any width.
+Each engine call makes one workspace (:class:`parpath.lift._Workspace`)
+that gives every worker thread its own named arrays for the length of
+the call: the chunk's normal draw, the FFT's padded rows, spectrum and
+inverse, the driver and the level arrays.  The normals are drawn once
+per chunk; convolution, vol function and cumulative levels then run on
+row blocks of 64 paths in the same arrays, so a block allocates little
+and faults in no fresh pages, however large the chunk.  Every stage is
+row-wise, so blocking changes no bit.  The convolution weights and the
+kernel's spectrum are computed once per call, not once per block.
+Constant sigma telescopes to the first level and the second level is
+never formed.  Any other sigma gathers the chunk's levels and calls
+the stepper once per chunk: its Python loop over nodes costs the same
+at any width.
 
 The state engine reproduces the reference pipeline
 simulate -> lift -> integrate -> step with batched arithmetic: for the
@@ -27,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -36,14 +40,14 @@ from . import core
 from .black_scholes import call_price, implied_vol
 from .exceptions import ConfigurationError, InsufficientDataError, NumericalError
 from .integrate import compensated_sum_level1
-from .lift import KernelSpec, volterra_convolve_batch
+from .lift import KernelSpec, _Workspace, volterra_convolve_batch
 from .rate import RateProblem, minimize_rate
 from .rde import SigmaConstant, SigmaFunction, solve_rde_batch
 from .rng import stream
 from .volfn import VolFunction
 
 DEFAULT_CHUNK = 1024
-# Paths per row block inside a chunk: one block's (64, N) temporaries are
+# Paths per row block inside a chunk: one block's (64, N) arrays are
 # 2 MB at N = 4096, where a whole chunk's are 33 MB each.
 _ROW_BLOCK = 64
 
@@ -79,22 +83,6 @@ def _row_blocks(count: int):
             for lo in range(0, count, _ROW_BLOCK)]
 
 
-class _DrawBuffer(threading.local):
-    """Storage for a chunk's normals, one array per worker thread.
-
-    Make one per engine call, so the arrays are freed when the call
-    returns instead of living as long as the thread.
-    """
-
-    array = None
-
-    def view(self, shape) -> np.ndarray:
-        size = math.prod(shape)
-        if self.array is None or self.array.size < size:
-            self.array = np.empty(size)
-        return self.array[:size].reshape(shape)
-
-
 def _draw_increments(seed: int, chunk_id: int, count: int, grid: core.Grid,
                      rho: float, out=None):
     """(dW, dX, aux) for one chunk, from the chunk's own stream.
@@ -116,32 +104,46 @@ def _draw_increments(seed: int, chunk_id: int, count: int, grid: core.Grid,
     return dW, dX, aux
 
 
-def _driver_xhat(dW, aux, kernel: KernelSpec, grid: core.Grid) -> np.ndarray:
-    """Smooth component (B, N+1, 2): convolution path and t^zeta."""
+def _driver_xhat(dW, aux, kernel: KernelSpec, grid: core.Grid,
+                 work: _Workspace) -> np.ndarray:
+    """Smooth component (B, N+1, 2): convolution path and t^zeta.
+
+    The result is a view into ``work`` that the next call overwrites.
+    """
     B = dW.shape[0]
-    xhat = np.empty((B, grid.N + 1, 2))
-    xhat[:, :, 0] = volterra_convolve_batch(dW, aux, kernel, grid)
-    xhat[:, :, 1] = grid.nodes ** kernel.zeta
+    xhat = work.view("xhat", (B, grid.N + 1, 2))
+    xhat[:, :, 0] = volterra_convolve_batch(dW, aux, kernel, grid, work=work)
+    xhat[:, :, 1] = work.once(("t^zeta", kernel.zeta, grid),
+                              lambda: grid.nodes ** kernel.zeta)
     return xhat
 
 
 def _levels_batch(f: VolFunction, xhat, dX, delta: float, cell_correction: bool,
-                  second: bool = True):
+                  work: _Workspace, second: bool = True):
     """Finest-grid integral levels for stacked paths: (y1, y2), (B, N+1).
 
     With ``second`` false, y2 is not computed and comes back as None.
+    Both are views into ``work`` that the next call overwrites.
     """
-    fv = f.value(xhat)
-    contrib = fv[:, :-1] * dX
+    fv = f.value(xhat)[:, :-1]
     B, N = dX.shape
-    y1 = np.zeros((B, N + 1))
+    contrib = np.multiply(fv, dX, out=work.view("contrib", (B, N)))
+    y1 = work.view("y1", (B, N + 1))
+    y1[:, 0] = 0.0
     np.cumsum(contrib, axis=1, out=y1[:, 1:])
     if not second:
         return y1, None
-    cells2 = y1[:, :-1] * contrib
+    cells2 = np.multiply(y1[:, :-1], contrib, out=work.view("cells2", (B, N)))
     if cell_correction:
-        cells2 = cells2 + fv[:, :-1] ** 2 * (0.5 * (dX ** 2 - delta))
-    y2 = np.zeros((B, N + 1))
+        # cells2 += fv^2 * (0.5 * (dX^2 - delta)), in this order.
+        t = np.square(dX, out=work.view("dx2", (B, N)))
+        t -= delta
+        t *= 0.5
+        u = np.square(fv, out=contrib)  # contrib is not read again
+        u *= t
+        cells2 += u
+    y2 = work.view("y2", (B, N + 1))
+    y2[:, 0] = 0.0
     np.cumsum(cells2, axis=1, out=y2[:, 1:])
     return y1, y2
 
@@ -159,16 +161,16 @@ def _state_worker(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
     """Chunk worker giving (S, X) at the snapshot nodes (X None unless with_x).
 
     Each stage before the stepper works row by row, so it runs on row
-    blocks; the stepper's loop over nodes costs the same at any width,
-    so it runs once on the whole chunk.
+    blocks in the call's workspace; the stepper's loop over nodes costs
+    the same at any width, so it runs once on the whole chunk.
     """
-    draw = _DrawBuffer()
+    work = _Workspace()
     stepped = not isinstance(sigma, SigmaConstant)  # else y2 is never read
     N = grid.N
 
     def worker(cid, count):
         dW, dX, aux = _draw_increments(seed, cid, count, grid, rho,
-                                       out=draw.view((3, count, N)))
+                                       out=work.view("draw", (3, count, N)))
         X = np.empty((count, snaps.size)) if with_x else None
         if stepped:
             # Column-major, so the stepper's node-major copies are free.
@@ -177,16 +179,17 @@ def _state_worker(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
         else:
             S = np.empty((count, snaps.size))
         for rows in _row_blocks(count):
-            xhat = _driver_xhat(dW[rows], aux[rows], kernel, grid)
+            xhat = _driver_xhat(dW[rows], aux[rows], kernel, grid, work)
             b1, b2 = _levels_batch(f, xhat, dX[rows], grid.delta,
-                                   cell_correction, second=stepped)
-            del xhat
+                                   cell_correction, work, second=stepped)
             if stepped:
                 y1[rows], y2[rows] = b1, b2
             else:
-                S[rows] = _state_from_levels(b1, b2, sigma, s0)[:, snaps]
+                # Elementwise, so only the snapshot columns are formed.
+                S[rows] = _state_from_levels(b1[:, snaps], None, sigma, s0)
             if with_x:
-                path = np.zeros_like(b1)
+                path = work.view("x", b1.shape)
+                path[:, 0] = 0.0
                 np.cumsum(dX[rows], axis=1, out=path[:, 1:])
                 X[rows] = path[:, snaps]
         if stepped:
@@ -261,17 +264,17 @@ def moment_scaling_check(kernel: KernelSpec, grid: core.Grid, rho: float,
     if t_nodes[0] < 1 or t_nodes[-1] > grid.N:
         raise ConfigurationError("t nodes out of range")
 
-    draw = _DrawBuffer()
+    work = _Workspace()
 
     def worker(cid, count):
         dW, dX, aux = _draw_increments(seed, cid, count, grid, rho,
-                                       out=draw.view((3, count, grid.N)))
+                                       out=work.view("draw", (3, count, grid.N)))
         # Column-major, the layout the fancy-indexed squares of a whole
         # chunk had, so np.sum below adds in the same (pairwise) order.
         squares = {i: np.empty((count, t_nodes.size), order="F")
                    for i in indices}
         for rows in _row_blocks(count):
-            xhat = _driver_xhat(dW[rows], aux[rows], kernel, grid)
+            xhat = _driver_xhat(dW[rows], aux[rows], kernel, grid, work)
             for i in indices:
                 w = (xhat[:, :-1, 0] ** i[0]) * (xhat[:, :-1, 1] ** i[1]) \
                     / core.midx_factorial(i)
@@ -337,14 +340,14 @@ def ito_consistency_check(kernel: KernelSpec, config: core.IndexConfig,
         if fine_cells % c:
             raise ConfigurationError("coarse partitions must divide the fine grid")
     grid = core.Grid(T=T, N=fine_cells)
-    draw = _DrawBuffer()
+    work = _Workspace()
 
     def worker(cid, count):
         dW, dX, aux = _draw_increments(seed, cid, count, grid, rho,
-                                       out=draw.view((3, count, grid.N)))
+                                       out=work.view("draw", (3, count, grid.N)))
         out = np.zeros((count, len(coarse_cells)))
         for b in range(count):
-            xhat = _driver_xhat(dW[b:b + 1], aux[b:b + 1], kernel, grid)[0]
+            xhat = _driver_xhat(dW[b:b + 1], aux[b:b + 1], kernel, grid, work)[0]
             x = np.concatenate([[0.0], np.cumsum(dX[b])])
             prp = core.lift_sampled_paths(xhat, x[:, None], config, grid)
             for li, cells in enumerate(coarse_cells):
@@ -415,9 +418,10 @@ def price_and_implied_vol(kernel: KernelSpec, f: VolFunction,
     bounds carry a note instead of a vol.
     """
     snaps = _nodes_for_times(grid, maturities)
-    S, _ = simulate_state(kernel, f, sigma, rho, s0, grid, snaps, n_paths,
-                          seed, threads=threads, chunk=chunk,
-                          cell_correction=cell_correction)
+    state = _state_worker(kernel, f, sigma, rho, s0, grid, snaps, seed,
+                          cell_correction, with_x=False)
+    parts = _dispatch(state, _chunk_plan(n_paths, chunk), threads)
+    S = np.concatenate([p[0] for p in parts])
     rows = []
     for ki, K in enumerate(np.asarray(strikes, dtype=np.float64)):
         for mi, mat in enumerate(np.asarray(maturities, dtype=np.float64)):
@@ -476,16 +480,16 @@ def rde_convergence_check(sigma: SigmaFunction, f: VolFunction,
     m = sigma.b * f.c
     fine = core.Grid(T=T, N=2 * n_coarse)
     coarse = core.Grid(T=T, N=n_coarse)
-    draw = _DrawBuffer()
+    work = _Workspace()
 
     def worker(cid, count):
         _, dX, _ = _draw_increments(seed, cid, count, fine, rho,
-                                    out=draw.view((3, count, fine.N)))
+                                    out=work.view("draw", (3, count, fine.N)))
         out = np.zeros((count, 2))
         for res, (g, inc) in enumerate(
                 [(coarse, dX.reshape(count, n_coarse, 2).sum(axis=2)), (fine, dX)]):
             xhat = np.zeros((count, g.N + 1, 2))  # f is constant: values unused
-            y1, y2 = _levels_batch(f, xhat, inc, g.delta, True)
+            y1, y2 = _levels_batch(f, xhat, inc, g.delta, True, work)
             S = s0 + solve_rde_batch(y1, y2, sigma, s0)[:, -1]
             X_T = np.sum(inc, axis=1)
             exact = s0 * np.exp(m * X_T - 0.5 * m ** 2 * T)

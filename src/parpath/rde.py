@@ -169,11 +169,15 @@ def solve_rde_batch(y1, y2, sigma: SigmaFunction, s0: float) -> np.ndarray:
     out = np.empty((n_nodes, B))
     out[0] = 0.0
     u = np.zeros(B)
+    s = s0 + u  # the state at the current node
     for q in range(n_nodes - 1):
-        sv = sigma.value(s0 + u)
-        u = u + sv * dy1[q] + sigma.deriv(s0 + u) * sv * y2_cell[q]
-        bad = ~np.isfinite(u) | (np.abs(s0 + u) > _BLOWUP_GUARD)
-        if np.any(bad):
+        sv = sigma.value(s)
+        u = u + sv * dy1[q] + sigma.deriv(s) * sv * y2_cell[q]
+        s = s0 + u
+        # One reduction per node; NaN fails the comparison too, and
+        # ``initial`` lets an empty batch through.
+        if not np.max(np.abs(s), initial=0.0) <= _BLOWUP_GUARD:
+            bad = ~np.isfinite(u) | (np.abs(s) > _BLOWUP_GUARD)
             raise SolverError(f"state blew up at node {q + 1} "
                               f"({int(bad.sum())} of {B} paths)", last_good_index=q)
         out[q + 1] = u

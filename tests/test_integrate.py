@@ -75,6 +75,39 @@ def test_integral_is_the_integrate_path(walk_prp):
     np.testing.assert_array_equal(out.y2, traced.y2)
 
 
+def test_trace_reconstructs_level1_once_per_partition(small_cfg, monkeypatch):
+    # N = 64: six coarse dyadic partitions and the finest grid, one
+    # level-1 reconstruction each; both sums share it.
+    prp = _walk_prp(small_cfg, 64, 17)
+    f = ExponentialVol(1.0, (0.5, 0.5))
+    calls = []
+    level1_pairs = core.level1_pairs
+
+    def counted(*args):
+        calls.append(args[1].size)
+        return level1_pairs(*args)
+
+    monkeypatch.setattr(core, "level1_pairs", counted)
+    out, tr = integrate(prp, f, tol=1e-300)
+    assert tr.n_cells == (1, 2, 4, 8, 16, 32, 64)
+    assert sorted(calls) == [1, 2, 4, 8, 16, 32, 64]
+
+    # The trace holds the public sums on each partition, to the bit.
+    monkeypatch.undo()
+    j1 = [compensated_sum_level1(prp, f, _dyadic(64, k)) for k in range(6)]
+    j2 = [compensated_sum_level2(prp, f, _dyadic(64, k), out.y1) for k in range(6)]
+    np.testing.assert_array_equal(tr.j1, np.asarray(j1 + [out.y1[-1]]))
+    np.testing.assert_array_equal(tr.j2, np.asarray(j2 + [out.y2[-1]]))
+    for j, diffs in ((tr.j1, tr.diffs1), (tr.j2, tr.diffs2)):
+        assert diffs == tuple(float(np.linalg.norm(j[k + 1] - j[k])
+                                    / (1.0 + np.linalg.norm(j[k])))
+                              for k in range(6))
+
+
+def _dyadic(N, level):
+    return np.arange((1 << level) + 1) * (N >> level)
+
+
 def test_unit_vol_reproduces_driver(walk_prp):
     out, _ = integrate(walk_prp, ConstantVol(1.0))
     np.testing.assert_allclose(out.y1, walk_prp.a[(0, 0)], rtol=1e-13, atol=1e-15)

@@ -4,15 +4,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.integrate
 
 from parpath.analysis import chen_defect_report
 from parpath.core import Grid
 from parpath.exceptions import ConfigurationError, DomainError
-from parpath.lift import (BrownianBundle, build_lift, build_lift_quadrature,
-                          kernel_antideriv, kernel_eval, kernel_sq_antideriv,
-                          riemann_liouville, simulate_brownian,
-                          volterra_convolve, volterra_convolve_batch)
+from parpath.lift import (BrownianBundle, _hybrid_cell_coeffs, _Workspace,
+                          build_lift, build_lift_quadrature, kernel_antideriv,
+                          kernel_eval, kernel_sq_antideriv, riemann_liouville,
+                          simulate_brownian, volterra_convolve,
+                          volterra_convolve_batch)
 from parpath.rng import stream
 
 from conftest import oracle_level1
@@ -160,6 +162,56 @@ def test_fft_and_direct_convolution_agree():
     dW_long = np.concatenate([dW, np.zeros((2, 768))], axis=1)
     fft = volterra_convolve_batch(dW_long, None, spec, long)
     assert np.max(np.abs(fft[:, :257] - direct)) <= 1e-12
+
+
+def _scipy_convolve_batch(dW, aux, spec, grid):
+    """The convolution by scipy.fft on fresh arrays, as a fixed reference."""
+    B, N = dW.shape
+    delta = grid.delta
+    Fvals = kernel_antideriv(spec, np.arange(N + 1) * delta)
+    w = np.diff(Fvals) / delta
+    mu, sd = _hybrid_cell_coeffs(spec, delta)
+    touch = mu * dW
+    if aux is not None:
+        touch = touch + sd * aux
+    L = N - 1
+    size = scipy.fft.next_fast_len(2 * L - 1)
+    kf = scipy.fft.rfft(w[1:][:L], size)
+    rf = scipy.fft.rfft(dW[:, :L], size, axis=1)
+    conv = scipy.fft.irfft(kf[None, :] * rf, size, axis=1)[:, :L]
+    out = np.zeros((B, N + 1))
+    out[:, 1] = touch[:, 0]
+    out[:, 2:] = conv + touch[:, 1:]
+    return out
+
+
+@pytest.mark.parametrize("with_aux", [False, True], ids=["no-aux", "aux"])
+@pytest.mark.parametrize("N", [600, 1000, 3000, 4096, 8192])
+def test_fft_route_matches_the_scipy_formula(N, with_aux):
+    # The numpy FFT route must give scipy's bits: if the two pocketfft
+    # builds drift apart, this fails before any output digest moves.
+    spec = riemann_liouville(0.3, delta=0.01)
+    grid = Grid(T=1.0, N=N)
+    gen = stream(N, "fft-route")
+    dW = math.sqrt(grid.delta) * gen.standard_normal((3, N))
+    aux = gen.standard_normal((3, N)) if with_aux else None
+    np.testing.assert_array_equal(volterra_convolve_batch(dW, aux, spec, grid),
+                                  _scipy_convolve_batch(dW, aux, spec, grid))
+
+
+def test_reused_workspace_gives_fresh_array_bits():
+    # Blocks of different widths share one workspace, as the MC engine's
+    # row blocks do; each must equal a call on fresh arrays.
+    spec = riemann_liouville(0.1, delta=0.01)
+    grid = Grid(T=1.0, N=1000)
+    gen = stream(3, "fft-reuse")
+    work = _Workspace()
+    for rows in (5, 2, 5, 1):
+        dW = math.sqrt(grid.delta) * gen.standard_normal((rows, grid.N))
+        aux = gen.standard_normal((rows, grid.N))
+        np.testing.assert_array_equal(
+            volterra_convolve_batch(dW, aux, spec, grid, work=work),
+            volterra_convolve_batch(dW, aux, spec, grid))
 
 
 # ---------------------------------------------------------------------------

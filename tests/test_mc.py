@@ -161,25 +161,30 @@ def test_blocked_tail_counts_and_moments_match_whole_chunks():
 def test_draw_buffer_is_not_shared_across_calls():
     grid = core.Grid(T=1.0, N=4096)
     kernel = riemann_liouville(0.3, 0.01)
-    args = (kernel, ConstantVol(0.5), SigmaConstant(1.0), -0.3, 1.0, grid,
-            [1, 2048, 4096], 16)
-    S1, X1 = simulate_state(*args, seed=1, chunk=8)
-    kept = S1.copy(), X1.copy()
-    S2, X2 = simulate_state(*args, seed=2, chunk=8)
-    np.testing.assert_array_equal(S1, kept[0])
-    np.testing.assert_array_equal(X1, kept[1])
-    assert not np.array_equal(S1, S2)
+    # Constant sigma telescopes; linear sigma is stepped and also fills
+    # the second-level workspace arrays.
+    for sigma in (SigmaConstant(1.0), SigmaLinear(0.0, 1.0)):
+        args = (kernel, ConstantVol(0.5), sigma, -0.3, 1.0, grid,
+                [1, 2048, 4096], 16)
+        S1, X1 = simulate_state(*args, seed=1, chunk=8)
+        kept = S1.copy(), X1.copy()
+        S2, X2 = simulate_state(*args, seed=2, chunk=8)
+        np.testing.assert_array_equal(S1, kept[0])
+        np.testing.assert_array_equal(X1, kept[1])
+        assert not np.array_equal(S1, S2)
 
-    # Two 64-path chunks draw 3 * 64 * 4096 normals each (6.3 MB); none
-    # of that may stay allocated once the call has returned.
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        simulate_state(*args[:-1], 128, seed=3, chunk=64)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert retained < 1 << 20
+        # Two 64-path chunks draw 3 * 64 * 4096 normals each (6.3 MB)
+        # into the call's workspace, beside its FFT, driver and level
+        # arrays (about 30 MB more); none of that may stay allocated
+        # once the call has returned.
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            simulate_state(*args[:-1], 128, seed=3, chunk=64)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20
 
 
 def test_state_threads_do_not_change_the_sample():

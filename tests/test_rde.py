@@ -127,6 +127,37 @@ def test_batch_blowup_reports_first_node():
     assert "3 of 3" in str(exc.value)
 
 
+def _guard_case(kind):
+    """(y1, y2, sigma, s0) where path 1 of 3 leaves the guard at node 5."""
+    y1 = np.zeros((3, 9))
+    y1[:, 1:] = np.cumsum(np.full((3, 8), 0.1), axis=1)
+    sigma, s0 = SigmaConstant(2.0), 0.5
+    if kind == "nan":
+        # sigma turns NaN once the state passes 2: at node 4 it is 2.5.
+        y1[1, 1:] = np.arange(1.0, 9.0) * 0.5
+        sigma = SigmaSmooth(lambda s: np.where(s > 2.0, np.nan, 1.0),
+                            lambda s: np.zeros_like(s))
+    elif kind in ("+inf", "-inf"):
+        y1[1, 5:] = float(kind[0] + "1e308")  # 2 * 1e308 overflows
+    else:
+        # Finite: u = 0.8 + 2 * 499999.5 = 999999.8 is inside the guard,
+        # the state s0 + u is not.
+        y1[1, 5:] += 499999.4
+    return y1, np.zeros_like(y1), sigma, s0
+
+
+@pytest.mark.parametrize("kind", ["nan", "+inf", "-inf", "finite"])
+def test_batch_guard_names_node_and_paths(kind):
+    y1, y2, sigma, s0 = _guard_case(kind)
+    with pytest.raises(SolverError) as exc, np.errstate(over="ignore"):
+        solve_rde_batch(y1, y2, sigma, s0)
+    assert exc.value.last_good_index == 4
+    assert "at node 5 (1 of 3 paths)" in str(exc.value)
+    # Without the bad path the same data step to the end.
+    ok = solve_rde_batch(y1[[0, 2]], y2[[0, 2]], sigma, s0)
+    assert np.all(np.isfinite(ok))
+
+
 def test_batch_shape_validation():
     with pytest.raises(DomainError):
         solve_rde_batch(np.zeros((2, 5)), np.zeros((2, 4)), SigmaConstant(1.0), 0.0)
