@@ -16,9 +16,15 @@ and faults in no fresh pages, however large the chunk.  Every stage is
 row-wise, so blocking changes no bit.  The convolution weights and the
 kernel's spectrum are computed once per call, not once per block.
 Constant sigma telescopes to the first level and the second level is
-never formed.  Any other sigma gathers the chunk's levels and calls
-the stepper once per chunk: its Python loop over nodes costs the same
-at any width.
+never formed.  Any other sigma writes each block's cell increments of
+both levels into two node-major (N, chunk) workspace arrays, and the
+stepper's loop over nodes runs once per chunk on them (its Python
+loop costs the same at any width), keeping only the snapshot nodes.
+Constant f never reads the driver, so the convolution is skipped.
+
+Before any draw, every engine checks that its worker threads'
+workspaces fit in physical memory, and raises
+:class:`ConfigurationError` when they cannot.
 
 The state engine reproduces the reference pipeline
 simulate -> lift -> integrate -> step with batched arithmetic: for the
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -42,21 +49,57 @@ from .exceptions import ConfigurationError, InsufficientDataError, NumericalErro
 from .integrate import compensated_sum_level1
 from .lift import KernelSpec, _Workspace, volterra_convolve_batch
 from .rate import RateProblem, minimize_rate
-from .rde import SigmaConstant, SigmaFunction, solve_rde_batch
+from .rde import SigmaConstant, SigmaFunction, _step_nodes, solve_rde_batch
 from .rng import stream
-from .volfn import VolFunction
+from .volfn import ConstantVol, VolFunction
 
 DEFAULT_CHUNK = 1024
 # Paths per row block inside a chunk: one block's (64, N) arrays are
 # 2 MB at N = 4096, where a whole chunk's are 33 MB each.
 _ROW_BLOCK = 64
+# Arrays of one row block, in rows of N floats: the driver (2), the
+# convolution and its touching cells (2), the FFT's pad, spectrum and
+# inverse (about 6), levels and temporaries (6); stepping adds the
+# second level, its cells and the block's increments (5).
+_BLOCK_ROWS = 16
+_STEPPED_BLOCK_ROWS = 5
 
 
-def _chunk_plan(n_paths: int, chunk: int):
+def _physical_memory():
+    """Bytes of physical memory, or None where the OS does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _chunk_plan(n_paths: int, chunk: int, N: int, threads: int,
+                sigma: SigmaFunction | None = None):
+    """(chunk id, path count) pairs covering [0, n_paths).
+
+    Checks first that the workspaces of the threads that will run fit
+    in physical memory.  Each holds the chunk's (3, count, N) draw, the
+    row block's arrays and, when the engine steps a non-constant
+    ``sigma``, the (2, N, count) cell increments.
+    """
     if n_paths < 1:
         raise ConfigurationError(f"need at least one path, got {n_paths}")
     if chunk < 1:
         raise ConfigurationError(f"chunk size must be positive, got {chunk}")
+    count = min(chunk, n_paths)
+    stepped = sigma is not None and not isinstance(sigma, SigmaConstant)
+    rows = _BLOCK_ROWS + (_STEPPED_BLOCK_ROWS if stepped else 0)
+    per_thread = 8 * (N + 1) * ((3 + 2 * stepped) * count
+                                + rows * min(count, _ROW_BLOCK))
+    workers = min(threads, -(-n_paths // chunk))
+    memory = _physical_memory()
+    if memory is not None and workers * per_thread > memory:
+        raise ConfigurationError(
+            f"{workers} worker threads need about "
+            f"{workers * per_thread / 2 ** 20:.0f} MB of workspace for "
+            f"{count}-path chunks at N = {N}, more than the "
+            f"{memory / 2 ** 20:.0f} MB of physical memory; use fewer "
+            "threads or smaller chunks")
     plan = []
     start = 0
     cid = 0
@@ -148,11 +191,25 @@ def _levels_batch(f: VolFunction, xhat, dX, delta: float, cell_correction: bool,
     return y1, y2
 
 
-def _state_from_levels(y1, y2, sigma: SigmaFunction, s0: float):
-    if isinstance(sigma, SigmaConstant):
-        # sigma' = 0: the scheme telescopes, no stepping loop needed.
-        return s0 + sigma.c * y1
-    return s0 + solve_rde_batch(y1, y2, sigma, s0)
+def _state_from_levels(y1, sigma: SigmaConstant, s0: float):
+    # sigma' = 0: the scheme telescopes, no stepping loop needed.
+    return s0 + sigma.c * y1
+
+
+def _cell_increments(y1, y2, dy1, y2_cell, work: _Workspace):
+    """Write a block's cell increments, node-major, into (N, B) views.
+
+    ``dy1`` gets ``np.diff(y1)`` and ``y2_cell`` gets
+    ``np.diff(y2) - y1[:, :-1] * np.diff(y1)``, transposed, with the
+    bits of those whole-array formulas.
+    """
+    B, N = y1.shape[0], y1.shape[1] - 1
+    d1 = np.subtract(y1[:, 1:], y1[:, :-1], out=work.view("d1", (B, N)))
+    dy1[...] = d1.T
+    d2 = np.subtract(y2[:, 1:], y2[:, :-1], out=work.view("d2", (B, N)))
+    d1 *= y1[:, :-1]
+    d2 -= d1
+    y2_cell[...] = d2.T
 
 
 def _state_worker(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
@@ -161,11 +218,13 @@ def _state_worker(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
     """Chunk worker giving (S, X) at the snapshot nodes (X None unless with_x).
 
     Each stage before the stepper works row by row, so it runs on row
-    blocks in the call's workspace; the stepper's loop over nodes costs
-    the same at any width, so it runs once on the whole chunk.
+    blocks in the call's workspace; a stepped sigma's loop over nodes
+    costs the same at any width, so it runs once on the whole chunk's
+    node-major cell increments.
     """
     work = _Workspace()
     stepped = not isinstance(sigma, SigmaConstant)  # else y2 is never read
+    const_f = isinstance(f, ConstantVol)  # the driver is never read
     N = grid.N
 
     def worker(cid, count):
@@ -173,27 +232,29 @@ def _state_worker(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
                                        out=work.view("draw", (3, count, N)))
         X = np.empty((count, snaps.size)) if with_x else None
         if stepped:
-            # Column-major, so the stepper's node-major copies are free.
-            y1 = np.empty((count, N + 1), order="F")
-            y2 = np.empty((count, N + 1), order="F")
+            dy1 = work.view("dy1", (N, count))
+            y2_cell = work.view("y2_cell", (N, count))
         else:
             S = np.empty((count, snaps.size))
         for rows in _row_blocks(count):
-            xhat = _driver_xhat(dW[rows], aux[rows], kernel, grid, work)
+            if const_f:
+                xhat = work.view("xhat", (rows.stop - rows.start, N + 1, 2))
+            else:
+                xhat = _driver_xhat(dW[rows], aux[rows], kernel, grid, work)
             b1, b2 = _levels_batch(f, xhat, dX[rows], grid.delta,
                                    cell_correction, work, second=stepped)
             if stepped:
-                y1[rows], y2[rows] = b1, b2
+                _cell_increments(b1, b2, dy1[:, rows], y2_cell[:, rows], work)
             else:
                 # Elementwise, so only the snapshot columns are formed.
-                S[rows] = _state_from_levels(b1[:, snaps], None, sigma, s0)
+                S[rows] = _state_from_levels(b1[:, snaps], sigma, s0)
             if with_x:
                 path = work.view("x", b1.shape)
                 path[:, 0] = 0.0
                 np.cumsum(dX[rows], axis=1, out=path[:, 1:])
                 X[rows] = path[:, snaps]
         if stepped:
-            S = _state_from_levels(y1, y2, sigma, s0)[:, snaps]
+            S = s0 + _step_nodes(dy1, y2_cell, sigma, s0, snaps).T
         return S, X
 
     return worker
@@ -213,9 +274,10 @@ def simulate_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
     if snaps.min() < 0 or snaps.max() > grid.N:
         raise ConfigurationError("snapshot nodes out of range")
 
+    plan = _chunk_plan(n_paths, chunk, grid.N, threads, sigma)
     worker = _state_worker(kernel, f, sigma, rho, s0, grid, snaps, seed,
                            cell_correction)
-    parts = _dispatch(worker, _chunk_plan(n_paths, chunk), threads)
+    parts = _dispatch(worker, plan, threads)
     S = np.concatenate([p[0] for p in parts])
     X = np.concatenate([p[1] for p in parts])
     return S, X
@@ -283,7 +345,8 @@ def moment_scaling_check(kernel: KernelSpec, grid: core.Grid, rho: float,
         # One sum per chunk: per-block sums would add in another order.
         return {i: np.sum(sq, axis=0) for i, sq in squares.items()}
 
-    parts = _dispatch(worker, _chunk_plan(n_paths, chunk), threads)
+    plan = _chunk_plan(n_paths, chunk, grid.N, threads)
+    parts = _dispatch(worker, plan, threads)
     t_vals = grid.nodes[t_nodes]
     slopes, expected, deviations, mean_squares = {}, {}, {}, {}
     for i in indices:
@@ -358,7 +421,8 @@ def ito_consistency_check(kernel: KernelSpec, config: core.IndexConfig,
                 out[b, li] = comp - plain
         return out
 
-    parts = _dispatch(worker, _chunk_plan(n_paths, chunk), threads)
+    plan = _chunk_plan(n_paths, chunk, grid.N, threads)
+    parts = _dispatch(worker, plan, threads)
     D = np.concatenate(parts)
     rms = {cells: float(np.sqrt(np.mean(D[:, li] ** 2)))
            for li, cells in enumerate(coarse_cells)}
@@ -420,7 +484,8 @@ def price_and_implied_vol(kernel: KernelSpec, f: VolFunction,
     snaps = _nodes_for_times(grid, maturities)
     state = _state_worker(kernel, f, sigma, rho, s0, grid, snaps, seed,
                           cell_correction, with_x=False)
-    parts = _dispatch(state, _chunk_plan(n_paths, chunk), threads)
+    plan = _chunk_plan(n_paths, chunk, grid.N, threads, sigma)
+    parts = _dispatch(state, plan, threads)
     S = np.concatenate([p[0] for p in parts])
     rows = []
     for ki, K in enumerate(np.asarray(strikes, dtype=np.float64)):
@@ -496,7 +561,8 @@ def rde_convergence_check(sigma: SigmaFunction, f: VolFunction,
             out[:, res] = (S - exact) / exact
         return out
 
-    parts = _dispatch(worker, _chunk_plan(n_paths, chunk), threads)
+    plan = _chunk_plan(n_paths, chunk, fine.N, threads, sigma)
+    parts = _dispatch(worker, plan, threads)
     rel = np.concatenate(parts)
     rms = {n_coarse: float(np.sqrt(np.mean(rel[:, 0] ** 2))),
            2 * n_coarse: float(np.sqrt(np.mean(rel[:, 1] ** 2)))}
@@ -555,7 +621,8 @@ def ldp_tail_check(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
         S, _ = state(cid, count)
         return np.sum(S >= thresholds[None, :], axis=0)
 
-    parts = _dispatch(worker, _chunk_plan(n_paths, chunk), threads)
+    plan = _chunk_plan(n_paths, chunk, grid.N, threads, sigma)
+    parts = _dispatch(worker, plan, threads)
     counts = np.zeros(snaps.size, dtype=np.int64)
     for p in parts:
         counts += p

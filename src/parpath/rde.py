@@ -158,27 +158,53 @@ def solve_rde_batch(y1, y2, sigma: SigmaFunction, s0: float) -> np.ndarray:
     y2 = np.asarray(y2, dtype=np.float64)
     if y1.shape != y2.shape or y1.ndim != 2:
         raise DomainError("y1 and y2 must be equal-shape (B, N+1) arrays")
-    s0 = float(s0)
-    B, n_nodes = y1.shape
-    # Node-major (N, B) copies: each step reads and writes contiguous
-    # rows instead of strided columns.
+    # Node-major (N, B) copies: each step reads contiguous rows instead
+    # of strided columns.
     dy1 = np.ascontiguousarray(np.diff(y1, axis=1).T)
     y2_cell = np.diff(y2, axis=1)
     y2_cell -= y1[:, :-1] * dy1.T
     y2_cell = np.ascontiguousarray(y2_cell.T)
-    out = np.empty((n_nodes, B))
-    out[0] = 0.0
+    return _step_nodes(dy1, y2_cell, sigma, s0, np.arange(y1.shape[1])).T
+
+
+def _step_nodes(dy1, y2_cell, sigma: SigmaFunction, s0: float,
+                keep) -> np.ndarray:
+    """The stepping loop on node-major cell increments.
+
+    dy1, y2_cell: (N, B) first-level increments and second-level cell
+    values, cell q in row q.  Returns Sbar at the nodes ``keep`` (any
+    order, repeats allowed), shape (len(keep), B); no other node is
+    stored.  Raises :class:`SolverError` as :func:`solve_rde_batch`.
+    """
+    s0 = float(s0)
+    n_cells, B = dy1.shape
+    cols = {}
+    for j, node in enumerate(keep):
+        cols.setdefault(int(node), []).append(j)
+    out = np.empty((len(keep), B))
     u = np.zeros(B)
-    s = s0 + u  # the state at the current node
-    for q in range(n_nodes - 1):
+    for j in cols.get(0, ()):
+        out[j] = u
+    # The loop's own buffers: what sigma returns may alias s (or be
+    # kept by it), so no result of sigma is ever written to.
+    s = np.add(s0, u)  # the state at the current node
+    m = np.empty(B)
+    t = np.empty(B)
+    for q in range(n_cells):
         sv = sigma.value(s)
-        u = u + sv * dy1[q] + sigma.deriv(s) * sv * y2_cell[q]
-        s = s0 + u
+        d = sigma.deriv(s)
+        # u + sv * dy1 + (d * sv) * y2_cell, in this order.
+        u += np.multiply(sv, dy1[q], out=m)
+        np.multiply(d, sv, out=t)
+        t *= y2_cell[q]
+        u += t
+        np.add(s0, u, out=s)
         # One reduction per node; NaN fails the comparison too, and
         # ``initial`` lets an empty batch through.
-        if not np.max(np.abs(s), initial=0.0) <= _BLOWUP_GUARD:
+        if not np.max(np.abs(s, out=t), initial=0.0) <= _BLOWUP_GUARD:
             bad = ~np.isfinite(u) | (np.abs(s) > _BLOWUP_GUARD)
             raise SolverError(f"state blew up at node {q + 1} "
                               f"({int(bad.sum())} of {B} paths)", last_good_index=q)
-        out[q + 1] = u
-    return out.T
+        for j in cols.get(q + 1, ()):
+            out[j] = u
+    return out

@@ -409,6 +409,27 @@ def test_mc_price_fails_when_no_row_is_scored(tmp_path):
     assert "statistic" not in summary
 
 
+def test_mc_price_blow_up_is_a_numerical_error(tmp_path, capsys):
+    # sigma(s) = 40 s on 64 cells makes the stepped state leave
+    # [-1e6, 1e6] within the horizon.
+    text = PRICE + "model.sigma.params = 0.0, 40.0\n"
+    cfg = _cfg(tmp_path, text)
+    assert main(["mc", "--config", cfg, "--out", str(tmp_path / "pr")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: state blew up at node ")
+    assert "of 400 paths" in err
+
+
+def test_mc_working_set_beyond_memory_is_a_config_error(tmp_path, capsys):
+    # 2^40-path chunks cannot fit; the run must stop before drawing.
+    huge = 1 << 40
+    text = (PRICE.replace("mc.n_paths = 400", f"mc.n_paths = {huge}")
+            + f"mc.chunk = {huge}\n")
+    cfg = _cfg(tmp_path, text)
+    assert main(["mc", "--config", cfg, "--out", str(tmp_path / "pr")]) == 2
+    assert "physical memory" in capsys.readouterr().err
+
+
 def test_mc_ito_fails_when_nothing_is_measured(tmp_path):
     # Constant f: every term above the zero index vanishes, the RMS is 0
     # at every mesh, and a check that measured nothing must fail.

@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parpath import core
-from parpath.exceptions import ConfigurationError, InsufficientDataError, NumericalError
+from parpath import core, mc
+from parpath.exceptions import (ConfigurationError, InsufficientDataError,
+                                NumericalError, SolverError)
 from parpath.integrate import integrate
 from parpath.lift import riemann_liouville, volterra_convolve_batch
 from parpath.mc import (
@@ -19,7 +20,8 @@ from parpath.mc import (
     simulate_state,
 )
 from parpath.rate import RateProblem
-from parpath.rde import RdeProblem, SigmaConstant, SigmaLinear, SigmaSmooth, solve_rde
+from parpath.rde import (RdeProblem, SigmaConstant, SigmaLinear, SigmaSmooth,
+                         solve_rde, solve_rde_batch)
 from parpath.rng import stream
 from parpath.volfn import ConstantVol, ExponentialVol
 
@@ -69,9 +71,11 @@ def _replay_chunks(seed, rho, grid, n_paths, chunk):
         yield dW, dX, norms[2]
 
 
-def _replay_state(kernel, f, sigma, rho, s0, grid, n_paths, seed, chunk):
-    """S and X at every node by the whole-chunk formulas, no row blocks."""
-    S, X = [], []
+def _replay_levels(kernel, f, rho, grid, n_paths, seed, chunk):
+    """Each chunk's (y1, y2, dX) by the whole-chunk formulas, no row blocks.
+
+    The convolution always runs, whether f reads it or not.
+    """
     for dW, dX, aux in _replay_chunks(seed, rho, grid, n_paths, chunk):
         count = dW.shape[0]
         xhat = np.empty((count, grid.N + 1, 2))
@@ -81,13 +85,22 @@ def _replay_state(kernel, f, sigma, rho, s0, grid, n_paths, seed, chunk):
         contrib = fv[:, :-1] * dX
         y1 = np.zeros((count, grid.N + 1))
         np.cumsum(contrib, axis=1, out=y1[:, 1:])
+        cells2 = y1[:, :-1] * contrib \
+            + fv[:, :-1] ** 2 * (0.5 * (dX ** 2 - grid.delta))
+        y2 = np.zeros((count, grid.N + 1))
+        np.cumsum(cells2, axis=1, out=y2[:, 1:])
+        yield y1, y2, dX
+
+
+def _replay_state(kernel, f, sigma, rho, s0, grid, n_paths, seed, chunk):
+    """S and X at every node by the whole-chunk formulas, no row blocks."""
+    S, X = [], []
+    for y1, y2, dX in _replay_levels(kernel, f, rho, grid, n_paths, seed,
+                                     chunk):
+        count = dX.shape[0]
         if isinstance(sigma, SigmaConstant):
             S.append(s0 + sigma.c * y1)
         else:
-            cells2 = y1[:, :-1] * contrib \
-                + fv[:, :-1] ** 2 * (0.5 * (dX ** 2 - grid.delta))
-            y2 = np.zeros((count, grid.N + 1))
-            np.cumsum(cells2, axis=1, out=y2[:, 1:])
             dy1 = np.diff(y1, axis=1)
             y2_cell = np.diff(y2, axis=1) - y1[:, :-1] * dy1
             u = np.zeros(count)
@@ -108,11 +121,23 @@ def _replay_state(kernel, f, sigma, rho, s0, grid, n_paths, seed, chunk):
 _BLOCKED = (core.Grid(T=1.0, N=1024), 250, 100, 13)  # grid, n_paths, chunk, seed
 
 
-@pytest.mark.parametrize("sigma", [SigmaConstant(0.7), SigmaLinear(0.1, 0.5)],
-                         ids=["constant", "linear"])
-def test_blocked_engine_is_bit_identical_to_whole_chunks(sigma):
+_EXP_F = ExponentialVol(0.3, (0.5, 0.2))
+_TANH = SigmaSmooth(np.tanh, lambda u: 1.0 / np.cosh(u) ** 2)
+# sigma(s) = s hands the loop its own state array back: a loop that
+# writes into what sigma returned would change the state it steps.
+_IDENTITY = SigmaSmooth(fn=lambda x: x, dfn=np.ones_like)
+
+
+@pytest.mark.parametrize("f, sigma", [
+    (_EXP_F, SigmaConstant(0.7)),
+    (_EXP_F, SigmaLinear(0.1, 0.5)),
+    (ConstantVol(0.3), SigmaLinear(0.0, 1.0)),
+    (ConstantVol(0.3), _TANH),
+    (_EXP_F, _IDENTITY),
+], ids=["constant", "linear", "constant-f-linear", "constant-f-smooth",
+        "identity"])
+def test_blocked_engine_is_bit_identical_to_whole_chunks(f, sigma):
     kernel = riemann_liouville(0.1, 0.01)
-    f = ExponentialVol(0.3, (0.5, 0.2))
     grid, n_paths, chunk, seed = _BLOCKED
     snaps = [0, 1, 300, grid.N]
     S_ref, X_ref = _replay_state(kernel, f, sigma, -0.7, 0.5, grid, n_paths,
@@ -122,6 +147,90 @@ def test_blocked_engine_is_bit_identical_to_whole_chunks(sigma):
                               seed, threads=threads, chunk=chunk)
         np.testing.assert_array_equal(S, S_ref[:, snaps])
         np.testing.assert_array_equal(X, X_ref[:, snaps])
+
+
+def test_constant_f_skips_the_convolution(monkeypatch):
+    calls = []
+    real = mc.volterra_convolve_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "volterra_convolve_batch", counted)
+    kernel = riemann_liouville(0.3, 0.01)
+    grid = core.Grid(T=1.0, N=64)
+    for f, expect_calls in ((ConstantVol(0.2), False),
+                            (ExponentialVol(0.3, (0.5, 0.2)), True)):
+        calls.clear()
+        simulate_state(kernel, f, SigmaLinear(0.0, 1.0), -0.7, 1.0, grid,
+                       [32, 64], 20, seed=1, chunk=8)
+        assert bool(calls) == expect_calls
+
+
+@pytest.mark.parametrize("f", [ConstantVol(0.2), ExponentialVol(0.3, (0.5, 0.2))],
+                         ids=["constant-f", "exponential-f"])
+def test_stepped_chunk_allocates_less_than_one_level_array(f):
+    # Once the first chunk has sized the workspace, a stepped chunk
+    # writes its cell increments into it and keeps only the snapshot
+    # nodes: no (chunk, N+1) array is allocated, let alone gathered.
+    grid, count = core.Grid(T=1.0, N=4096), 256
+    worker = mc._state_worker(riemann_liouville(0.3, 0.01), f,
+                              SigmaLinear(0.0, 1.0), -0.7, 1.0, grid,
+                              np.array([1, 2048, 4096]), 3, True)
+    worker(0, count)
+    tracemalloc.start()
+    try:
+        worker(1, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < count * (grid.N + 1) * 8
+
+
+def test_stepped_blow_up_names_the_node_and_paths():
+    # sigma(s) = 40 s on 16 cells: the scheme's per-cell factor reaches
+    # 40^2 * delta / 2 = 50, so some paths leave [-1e6, 1e6] within a
+    # few nodes.  The engine must report what the stepper reports on the
+    # first chunk that fails, replayed whole.
+    kernel, f = riemann_liouville(0.3, 0.01), ConstantVol(1.0)
+    sigma, grid = SigmaLinear(0.0, 40.0), core.Grid(T=1.0, N=16)
+    n_paths, chunk, seed = 200, 100, 4
+    expected = None
+    for y1, y2, _ in _replay_levels(kernel, f, -0.7, grid, n_paths, seed,
+                                    chunk):
+        try:
+            solve_rde_batch(y1, y2, sigma, 1.0)
+        except SolverError as exc:
+            expected = exc
+            break
+    assert expected is not None
+    for threads in (1, 2):
+        with pytest.raises(SolverError) as info:
+            simulate_state(kernel, f, sigma, -0.7, 1.0, grid, [8, 16], n_paths,
+                           seed, threads=threads, chunk=chunk)
+        assert str(info.value) == str(expected)
+        assert info.value.last_good_index == expected.last_good_index
+    assert "of 100 paths" in str(expected)
+
+
+def test_working_set_guard_fires_before_any_draw(monkeypatch):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a stream was made")
+
+    monkeypatch.setattr(mc, "stream", no_stream)
+    kernel = riemann_liouville(0.3, 0.01)
+    grid = core.Grid(T=1.0, N=4096)
+    huge = 1 << 40  # a (3, 2^40, 4096) draw is 10^17 bytes
+    with pytest.raises(ConfigurationError, match="physical memory"):
+        simulate_state(kernel, ConstantVol(0.2), SigmaLinear(0.0, 1.0), -0.7,
+                       1.0, grid, [4096], huge, seed=1, chunk=huge)
+    with pytest.raises(ConfigurationError, match="physical memory"):
+        price_and_implied_vol(kernel, ConstantVol(0.2), SigmaLinear(0.0, 1.0),
+                              -0.7, 1.0, grid, (1.0,), (1.0,), huge, seed=1,
+                              chunk=huge)
+    with pytest.raises(ConfigurationError, match="physical memory"):
+        moment_scaling_check(kernel, grid, -0.7, huge, seed=1, chunk=huge)
 
 
 def test_blocked_tail_counts_and_moments_match_whole_chunks():
