@@ -6,6 +6,14 @@ boundaries depend only on the chunk size, never on the thread count,
 and block results are reduced in block order, so every statistic here
 is bit-reproducible for 1 or many worker threads.
 
+Each chunk's draw is one (3, width, N) block of normals, in this
+order: dW, the independent part of X, then the touching-cell normals.
+Only the Volterra convolution reads the third block, and not always:
+constant f never reads the driver, so the convolution is skipped, and
+a constant kernel (H = 1/2) makes it const * W.  Such a chunk stops
+its draw after the second block.  The stream fills the block in order,
+so the first two are the same bits either way and no sample changes.
+
 Each engine call makes one workspace (:class:`parpath.lift._Workspace`)
 that gives every worker thread its own named arrays for the length of
 the call: the chunk's normal draw, the FFT's padded rows, spectrum and
@@ -20,11 +28,10 @@ never formed.  Any other sigma writes each block's cell increments of
 both levels into two node-major (N, chunk) workspace arrays, and the
 stepper's loop over nodes runs once per chunk on them (its Python
 loop costs the same at any width), keeping only the snapshot nodes.
-Constant f never reads the driver, so the convolution is skipped.
 
 Before any draw, every engine checks that its worker threads'
-workspaces fit in physical memory, and raises
-:class:`ConfigurationError` when they cannot.
+workspaces, with the draw rows they make, fit in physical memory, and
+raises :class:`ConfigurationError` when they cannot.
 
 The state engine reproduces the reference pipeline
 simulate -> lift -> integrate -> step with batched arithmetic: for the
@@ -49,7 +56,7 @@ from .exceptions import ConfigurationError, InsufficientDataError, NumericalErro
 from .integrate import compensated_sum_level1
 from .lift import KernelSpec, _Workspace, volterra_convolve_batch
 from .rate import RateProblem, minimize_rate
-from .rde import SigmaConstant, SigmaFunction, _step_nodes, solve_rde_batch
+from .rde import SigmaConstant, SigmaFunction, SigmaLinear, _step_nodes
 from .rng import stream
 from .volfn import ConstantVol, VolFunction
 
@@ -74,13 +81,14 @@ def _physical_memory():
 
 
 def _chunk_plan(n_paths: int, chunk: int, N: int, threads: int,
-                sigma: SigmaFunction | None = None):
+                sigma: SigmaFunction | None = None, aux: bool = True):
     """(chunk id, path count) pairs covering [0, n_paths).
 
     Checks first that the workspaces of the threads that will run fit
-    in physical memory.  Each holds the chunk's (3, count, N) draw, the
-    row block's arrays and, when the engine steps a non-constant
-    ``sigma``, the (2, N, count) cell increments.
+    in physical memory.  Each holds the chunk's (3, count, N) draw, or
+    (2, count, N) without ``aux``; the row block's arrays; and, when
+    the engine steps a non-constant ``sigma``, the (2, N, count) cell
+    increments.
     """
     if n_paths < 1:
         raise ConfigurationError(f"need at least one path, got {n_paths}")
@@ -89,7 +97,7 @@ def _chunk_plan(n_paths: int, chunk: int, N: int, threads: int,
     count = min(chunk, n_paths)
     stepped = sigma is not None and not isinstance(sigma, SigmaConstant)
     rows = _BLOCK_ROWS + (_STEPPED_BLOCK_ROWS if stepped else 0)
-    per_thread = 8 * (N + 1) * ((3 + 2 * stepped) * count
+    per_thread = 8 * (N + 1) * ((2 + aux + 2 * stepped) * count
                                 + rows * min(count, _ROW_BLOCK))
     workers = min(threads, -(-n_paths // chunk))
     memory = _physical_memory()
@@ -127,14 +135,18 @@ def _row_blocks(count: int):
 
 
 def _draw_increments(seed: int, chunk_id: int, count: int, grid: core.Grid,
-                     rho: float, out=None):
+                     rho: float, out=None, with_aux: bool = True):
     """(dW, dX, aux) for one chunk, from the chunk's own stream.
 
     The three are the rows of one (3, count, N) normal draw, scaled in
     place; ``out`` is storage for that draw (default: a new array).
+    With ``with_aux`` false the draw stops after the second row: it is
+    (2, count, N), ``out`` must have that shape, and aux is None.  The
+    stream fills the draw in order, so dW and dX keep their bits.
     """
     gen = stream(seed, "mc", chunk_id)
-    dW, dX, aux = gen.standard_normal((3, count, grid.N), out=out)
+    draw = gen.standard_normal((2 + with_aux, count, grid.N), out=out)
+    dW, dX = draw[0], draw[1]
     sq = math.sqrt(grid.delta)
     perp = math.sqrt(max(0.0, 1.0 - rho ** 2))
     for rows in _row_blocks(count):
@@ -144,18 +156,34 @@ def _draw_increments(seed: int, chunk_id: int, count: int, grid: core.Grid,
         x *= sq
         x *= perp
         x += rho * w
-    return dW, dX, aux
+    return dW, dX, draw[2] if with_aux else None
 
 
-def _driver_xhat(dW, aux, kernel: KernelSpec, grid: core.Grid,
+def _reads_aux(kernel: KernelSpec, f: VolFunction | None = None) -> bool:
+    """Whether a chunk reads its draw's third row, the touching-cell normals.
+
+    Only the convolution in :func:`_driver_xhat` reads them.  A constant
+    kernel (``eta == 0``, H = 1/2) makes the convolution ``const * W``
+    before it looks at them, and a constant ``f`` never reads the
+    driver, so its engines skip the convolution.  ``f`` None stands for
+    an engine that always forms the driver.
+    """
+    return kernel.eta != 0.0 and not isinstance(f, ConstantVol)
+
+
+def _driver_xhat(dW, aux, rows, kernel: KernelSpec, grid: core.Grid,
                  work: _Workspace) -> np.ndarray:
-    """Smooth component (B, N+1, 2): convolution path and t^zeta.
+    """Smooth component (B, N+1, 2) of the chunk rows ``rows``: the
+    convolution path and t^zeta.  ``aux`` may be None where
+    :func:`_reads_aux` says it is not read.
 
     The result is a view into ``work`` that the next call overwrites.
     """
+    dW = dW[rows]
     B = dW.shape[0]
     xhat = work.view("xhat", (B, grid.N + 1, 2))
-    xhat[:, :, 0] = volterra_convolve_batch(dW, aux, kernel, grid, work=work)
+    xhat[:, :, 0] = volterra_convolve_batch(
+        dW, None if aux is None else aux[rows], kernel, grid, work=work)
     xhat[:, :, 1] = work.once(("t^zeta", kernel.zeta, grid),
                               lambda: grid.nodes ** kernel.zeta)
     return xhat
@@ -225,11 +253,13 @@ def _state_worker(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
     work = _Workspace()
     stepped = not isinstance(sigma, SigmaConstant)  # else y2 is never read
     const_f = isinstance(f, ConstantVol)  # the driver is never read
+    aux = _reads_aux(kernel, f)
     N = grid.N
 
     def worker(cid, count):
-        dW, dX, aux = _draw_increments(seed, cid, count, grid, rho,
-                                       out=work.view("draw", (3, count, N)))
+        dW, dX, normals = _draw_increments(
+            seed, cid, count, grid, rho, with_aux=aux,
+            out=work.view("draw", (2 + aux, count, N)))
         X = np.empty((count, snaps.size)) if with_x else None
         if stepped:
             dy1 = work.view("dy1", (N, count))
@@ -240,7 +270,7 @@ def _state_worker(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
             if const_f:
                 xhat = work.view("xhat", (rows.stop - rows.start, N + 1, 2))
             else:
-                xhat = _driver_xhat(dW[rows], aux[rows], kernel, grid, work)
+                xhat = _driver_xhat(dW, normals, rows, kernel, grid, work)
             b1, b2 = _levels_batch(f, xhat, dX[rows], grid.delta,
                                    cell_correction, work, second=stepped)
             if stepped:
@@ -274,7 +304,8 @@ def simulate_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
     if snaps.min() < 0 or snaps.max() > grid.N:
         raise ConfigurationError("snapshot nodes out of range")
 
-    plan = _chunk_plan(n_paths, chunk, grid.N, threads, sigma)
+    plan = _chunk_plan(n_paths, chunk, grid.N, threads, sigma,
+                       _reads_aux(kernel, f))
     worker = _state_worker(kernel, f, sigma, rho, s0, grid, snaps, seed,
                            cell_correction)
     parts = _dispatch(worker, plan, threads)
@@ -327,16 +358,18 @@ def moment_scaling_check(kernel: KernelSpec, grid: core.Grid, rho: float,
         raise ConfigurationError("t nodes out of range")
 
     work = _Workspace()
+    aux = _reads_aux(kernel)
 
     def worker(cid, count):
-        dW, dX, aux = _draw_increments(seed, cid, count, grid, rho,
-                                       out=work.view("draw", (3, count, grid.N)))
+        dW, dX, normals = _draw_increments(
+            seed, cid, count, grid, rho, with_aux=aux,
+            out=work.view("draw", (2 + aux, count, grid.N)))
         # Column-major, the layout the fancy-indexed squares of a whole
         # chunk had, so np.sum below adds in the same (pairwise) order.
         squares = {i: np.empty((count, t_nodes.size), order="F")
                    for i in indices}
         for rows in _row_blocks(count):
-            xhat = _driver_xhat(dW[rows], aux[rows], kernel, grid, work)
+            xhat = _driver_xhat(dW, normals, rows, kernel, grid, work)
             for i in indices:
                 w = (xhat[:, :-1, 0] ** i[0]) * (xhat[:, :-1, 1] ** i[1]) \
                     / core.midx_factorial(i)
@@ -345,7 +378,7 @@ def moment_scaling_check(kernel: KernelSpec, grid: core.Grid, rho: float,
         # One sum per chunk: per-block sums would add in another order.
         return {i: np.sum(sq, axis=0) for i, sq in squares.items()}
 
-    plan = _chunk_plan(n_paths, chunk, grid.N, threads)
+    plan = _chunk_plan(n_paths, chunk, grid.N, threads, aux=aux)
     parts = _dispatch(worker, plan, threads)
     t_vals = grid.nodes[t_nodes]
     slopes, expected, deviations, mean_squares = {}, {}, {}, {}
@@ -404,13 +437,16 @@ def ito_consistency_check(kernel: KernelSpec, config: core.IndexConfig,
             raise ConfigurationError("coarse partitions must divide the fine grid")
     grid = core.Grid(T=T, N=fine_cells)
     work = _Workspace()
+    aux = _reads_aux(kernel)
 
     def worker(cid, count):
-        dW, dX, aux = _draw_increments(seed, cid, count, grid, rho,
-                                       out=work.view("draw", (3, count, grid.N)))
+        dW, dX, normals = _draw_increments(
+            seed, cid, count, grid, rho, with_aux=aux,
+            out=work.view("draw", (2 + aux, count, grid.N)))
         out = np.zeros((count, len(coarse_cells)))
         for b in range(count):
-            xhat = _driver_xhat(dW[b:b + 1], aux[b:b + 1], kernel, grid, work)[0]
+            xhat = _driver_xhat(dW, normals, slice(b, b + 1), kernel, grid,
+                                work)[0]
             x = np.concatenate([[0.0], np.cumsum(dX[b])])
             prp = core.lift_sampled_paths(xhat, x[:, None], config, grid)
             for li, cells in enumerate(coarse_cells):
@@ -421,7 +457,7 @@ def ito_consistency_check(kernel: KernelSpec, config: core.IndexConfig,
                 out[b, li] = comp - plain
         return out
 
-    plan = _chunk_plan(n_paths, chunk, grid.N, threads)
+    plan = _chunk_plan(n_paths, chunk, grid.N, threads, aux=aux)
     parts = _dispatch(worker, plan, threads)
     D = np.concatenate(parts)
     rms = {cells: float(np.sqrt(np.mean(D[:, li] ** 2)))
@@ -460,6 +496,8 @@ class PriceTable:
 
 def _nodes_for_times(grid: core.Grid, times) -> np.ndarray:
     times = np.asarray(times, dtype=np.float64)
+    if times.size == 0:
+        raise ConfigurationError("need at least one time")
     idx = np.asarray(np.round(times / grid.delta), dtype=np.int64)
     if np.any(np.abs(idx * grid.delta - times) > 1e-9 * grid.T):
         raise ConfigurationError(f"times {times.tolist()} do not sit on the grid")
@@ -481,14 +519,18 @@ def price_and_implied_vol(kernel: KernelSpec, f: VolFunction,
     error pushed through the vol sensitivity.  Rows that violate static
     bounds carry a note instead of a vol.
     """
+    strikes = np.asarray(strikes, dtype=np.float64)
+    if strikes.size == 0:
+        raise ConfigurationError("need at least one strike")
     snaps = _nodes_for_times(grid, maturities)
     state = _state_worker(kernel, f, sigma, rho, s0, grid, snaps, seed,
                           cell_correction, with_x=False)
-    plan = _chunk_plan(n_paths, chunk, grid.N, threads, sigma)
+    plan = _chunk_plan(n_paths, chunk, grid.N, threads, sigma,
+                       _reads_aux(kernel, f))
     parts = _dispatch(state, plan, threads)
     S = np.concatenate([p[0] for p in parts])
     rows = []
-    for ki, K in enumerate(np.asarray(strikes, dtype=np.float64)):
+    for ki, K in enumerate(strikes):
         for mi, mat in enumerate(np.asarray(maturities, dtype=np.float64)):
             pay = np.maximum(S[:, mi] - K, 0.0)
             price = float(np.mean(pay))
@@ -535,9 +577,6 @@ def rde_convergence_check(sigma: SigmaFunction, f: VolFunction,
     increments (the coarse grid sums adjacent fine cells), so the
     reported halving ratio is nearly noise-free.
     """
-    from .rde import SigmaLinear
-    from .volfn import ConstantVol
-
     if not (isinstance(f, ConstantVol) and isinstance(sigma, SigmaLinear)
             and sigma.a == 0.0):
         raise ConfigurationError(
@@ -546,22 +585,32 @@ def rde_convergence_check(sigma: SigmaFunction, f: VolFunction,
     fine = core.Grid(T=T, N=2 * n_coarse)
     coarse = core.Grid(T=T, N=n_coarse)
     work = _Workspace()
+    aux = _reads_aux(kernel, f)  # false: f is constant
 
     def worker(cid, count):
-        _, dX, _ = _draw_increments(seed, cid, count, fine, rho,
-                                    out=work.view("draw", (3, count, fine.N)))
-        out = np.zeros((count, 2))
-        for res, (g, inc) in enumerate(
-                [(coarse, dX.reshape(count, n_coarse, 2).sum(axis=2)), (fine, dX)]):
-            xhat = np.zeros((count, g.N + 1, 2))  # f is constant: values unused
-            y1, y2 = _levels_batch(f, xhat, inc, g.delta, True, work)
-            S = s0 + solve_rde_batch(y1, y2, sigma, s0)[:, -1]
-            X_T = np.sum(inc, axis=1)
+        _, dX, _ = _draw_increments(
+            seed, cid, count, fine, rho, with_aux=aux,
+            out=work.view("draw", (2 + aux, count, fine.N)))
+        out = np.empty((count, 2))
+        X_T = np.empty(count)
+        for res, g in enumerate((coarse, fine)):
+            dy1 = work.view("dy1", (g.N, count))
+            y2_cell = work.view("y2_cell", (g.N, count))
+            for rows in _row_blocks(count):
+                inc = dX[rows]
+                if g is coarse:
+                    inc = inc.reshape(-1, n_coarse, 2).sum(axis=2)
+                # f is constant: the driver's values are never read.
+                xhat = work.view("xhat", (inc.shape[0], g.N + 1, 2))
+                y1, y2 = _levels_batch(f, xhat, inc, g.delta, True, work)
+                _cell_increments(y1, y2, dy1[:, rows], y2_cell[:, rows], work)
+                X_T[rows] = np.sum(inc, axis=1)
+            S = s0 + _step_nodes(dy1, y2_cell, sigma, s0, [g.N])[0]
             exact = s0 * np.exp(m * X_T - 0.5 * m ** 2 * T)
             out[:, res] = (S - exact) / exact
         return out
 
-    plan = _chunk_plan(n_paths, chunk, fine.N, threads, sigma)
+    plan = _chunk_plan(n_paths, chunk, fine.N, threads, sigma, aux)
     parts = _dispatch(worker, plan, threads)
     rel = np.concatenate(parts)
     rms = {n_coarse: float(np.sqrt(np.mean(rel[:, 0] ** 2))),
@@ -621,7 +670,8 @@ def ldp_tail_check(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
         S, _ = state(cid, count)
         return np.sum(S >= thresholds[None, :], axis=0)
 
-    plan = _chunk_plan(n_paths, chunk, grid.N, threads, sigma)
+    plan = _chunk_plan(n_paths, chunk, grid.N, threads, sigma,
+                       _reads_aux(kernel, f))
     parts = _dispatch(worker, plan, threads)
     counts = np.zeros(snaps.size, dtype=np.int64)
     for p in parts:

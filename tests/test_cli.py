@@ -420,6 +420,19 @@ def test_mc_price_blow_up_is_a_numerical_error(tmp_path, capsys):
     assert "of 400 paths" in err
 
 
+@pytest.mark.parametrize("line", ["mc.maturities = 0.25, 0.5",
+                                  "mc.strikes = 1.0"],
+                         ids=["maturities", "strikes"])
+def test_mc_price_with_an_empty_list_is_a_config_error(tmp_path, capsys, line):
+    # Nothing to price: no traceback, and no "pass" for a check that
+    # measured nothing.
+    text = PRICE.replace(line, line.split("=")[0] + "=")
+    cfg = _cfg(tmp_path, text)
+    assert main(["mc", "--config", cfg, "--out", str(tmp_path / "pr")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def test_mc_working_set_beyond_memory_is_a_config_error(tmp_path, capsys):
     # 2^40-path chunks cannot fit; the run must stop before drawing.
     huge = 1 << 40

@@ -10,7 +10,7 @@ from parpath import core, mc
 from parpath.exceptions import (ConfigurationError, InsufficientDataError,
                                 NumericalError, SolverError)
 from parpath.integrate import integrate
-from parpath.lift import riemann_liouville, volterra_convolve_batch
+from parpath.lift import _Workspace, riemann_liouville, volterra_convolve_batch
 from parpath.mc import (
     ito_consistency_check,
     ldp_tail_check,
@@ -233,6 +233,167 @@ def test_working_set_guard_fires_before_any_draw(monkeypatch):
         moment_scaling_check(kernel, grid, -0.7, huge, seed=1, chunk=huge)
 
 
+class _Drew(Exception):
+    pass
+
+
+def _guard_threshold(monkeypatch, run):
+    """Least physical memory for which the working-set guard lets ``run``
+    through, found without drawing: a run past the guard makes a stream,
+    which raises here."""
+    def no_stream(*args, **kwargs):
+        raise _Drew
+
+    limit = [0]
+    monkeypatch.setattr(mc, "stream", no_stream)
+    monkeypatch.setattr(mc, "_physical_memory", lambda: limit[0])
+    lo, hi = 0, 1 << 40  # the guard stops the run at lo, not at hi
+    while hi - lo > 1:
+        limit[0] = (lo + hi) // 2
+        try:
+            run()
+        except ConfigurationError:
+            lo = limit[0]
+        except _Drew:
+            hi = limit[0]
+    return hi
+
+
+def test_working_set_guard_counts_the_rows_drawn(monkeypatch):
+    # Constant f draws two rows of normals per path, ExponentialVol at
+    # H = 0.3 three; with memory between the two estimates only the
+    # first may run.
+    kernel = riemann_liouville(0.3, 0.01)
+    grid, count = core.Grid(T=1.0, N=64), 40
+
+    def run(f):
+        return simulate_state(kernel, f, SigmaLinear(0.0, 1.0), -0.7, 1.0,
+                              grid, [32, 64], count, seed=1, chunk=count)
+
+    two = _guard_threshold(monkeypatch, lambda: run(ConstantVol(0.2)))
+    three = _guard_threshold(monkeypatch, lambda: run(_EXP_F))
+    assert three - two == 8 * (grid.N + 1) * count  # one (count, N+1) row
+
+    streams = []
+
+    def counted(*args):
+        streams.append(args)
+        return stream(*args)
+
+    monkeypatch.setattr(mc, "stream", counted)
+    monkeypatch.setattr(mc, "_physical_memory", lambda: (two + three) // 2)
+    S, _ = run(ConstantVol(0.2))
+    assert S.shape == (count, 2) and len(streams) == 1
+    with pytest.raises(ConfigurationError, match="physical memory"):
+        run(_EXP_F)
+    assert len(streams) == 1
+
+
+def test_two_row_draw_is_the_prefix_of_the_three_row_draw():
+    # The stream fills a draw in order, so stopping after two rows
+    # leaves dW and dX with their bits, at odd shapes and inside a
+    # larger workspace buffer.
+    n, N = 37, 1000
+    three = stream(5, "mc", 3).standard_normal((3, n, N))
+    work = _Workspace()
+    work.view("draw", (3, n + 4, N))
+    two = work.view("draw", (2, n, N))
+    stream(5, "mc", 3).standard_normal((2, n, N), out=two)
+    np.testing.assert_array_equal(two, three[:2])
+
+    grid = core.Grid(T=1.0, N=N)
+    dW3, dX3, aux3 = mc._draw_increments(5, 3, n, grid, -0.7)
+    dW2, dX2, aux2 = mc._draw_increments(5, 3, n, grid, -0.7, with_aux=False,
+                                         out=work.view("draw", (2, n, N)))
+    np.testing.assert_array_equal(dW2, dW3)
+    np.testing.assert_array_equal(dX2, dX3)
+    assert aux3.shape == (n, N) and aux2 is None
+
+
+_H_HALF = riemann_liouville(0.5, 0.01)
+_H_ROUGH = riemann_liouville(0.3, 0.01)
+
+
+@pytest.mark.parametrize("run, expected", [
+    (lambda: simulate_state(_H_ROUGH, ConstantVol(0.3), SigmaLinear(0.0, 1.0),
+                            -0.7, 1.0, core.Grid(T=1.0, N=64), [64], 20, 1,
+                            chunk=8), 2),
+    (lambda: simulate_state(_H_HALF, _EXP_F, SigmaLinear(0.0, 1.0), -0.7, 1.0,
+                            core.Grid(T=1.0, N=64), [64], 20, 1, chunk=8), 2),
+    (lambda: simulate_state(_H_ROUGH, _EXP_F, SigmaLinear(0.0, 1.0), -0.7, 1.0,
+                            core.Grid(T=1.0, N=64), [64], 20, 1, chunk=8), 3),
+    (lambda: price_and_implied_vol(_H_ROUGH, ConstantVol(0.3),
+                                   SigmaLinear(0.0, 1.0), -0.7, 1.0,
+                                   core.Grid(T=1.0, N=64), (1.0,), (1.0,),
+                                   20, 1, chunk=8), 2),
+    (lambda: moment_scaling_check(_H_HALF, core.Grid(T=1.0, N=64), -0.7, 20,
+                                  1, t_nodes=[16, 64], chunk=8), 2),
+    (lambda: moment_scaling_check(_H_ROUGH, core.Grid(T=1.0, N=64), -0.7, 20,
+                                  1, t_nodes=[16, 64], chunk=8), 3),
+    (lambda: ito_consistency_check(_H_HALF, SMALL, _EXP_F, -0.7, 2, 1,
+                                   coarse_cells=(16,), fine_cells=64), 2),
+    (lambda: ito_consistency_check(_H_ROUGH, SMALL, _EXP_F, -0.7, 2, 1,
+                                   coarse_cells=(16,), fine_cells=64), 3),
+    (lambda: rde_convergence_check(SigmaLinear(0.0, 1.0), ConstantVol(1.0),
+                                   _H_ROUGH, 0.0, 1.0, 32, 20, 1, chunk=8), 2),
+], ids=["constant-f", "exponential-f-H-half", "exponential-f-H-rough",
+        "price-constant-f", "moments-H-half", "moments-H-rough", "ito-H-half",
+        "ito-H-rough", "rde-convergence"])
+def test_chunks_draw_only_the_rows_they_read(monkeypatch, run, expected):
+    rows = []
+
+    class Recording:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def standard_normal(self, size, out=None):
+            rows.append(size[0])
+            return self.gen.standard_normal(size, out=out)
+
+    monkeypatch.setattr(mc, "stream", lambda *args: Recording(stream(*args)))
+    run()
+    assert rows and set(rows) == {expected}
+
+
+@pytest.mark.parametrize("sigma", [SigmaConstant(0.7), SigmaLinear(0.1, 0.5)],
+                         ids=["constant", "linear"])
+def test_two_row_chunks_are_bit_identical_to_the_three_row_replay(sigma):
+    # At H = 1/2 the convolution never reads the third row, so the
+    # engine does not draw it; the replay draws all three.
+    grid, n_paths, chunk, seed = _BLOCKED
+    snaps = [0, 1, 300, grid.N]
+    S_ref, X_ref = _replay_state(_H_HALF, _EXP_F, sigma, -0.7, 0.5, grid,
+                                 n_paths, seed, chunk)
+    for threads in (1, 2):
+        S, X = simulate_state(_H_HALF, _EXP_F, sigma, -0.7, 0.5, grid, snaps,
+                              n_paths, seed, threads=threads, chunk=chunk)
+        np.testing.assert_array_equal(S, S_ref[:, snaps])
+        np.testing.assert_array_equal(X, X_ref[:, snaps])
+
+    t_nodes = np.array([64, 256, 1024])
+    for threads in (1, 2):
+        moments = moment_scaling_check(_H_HALF, grid, -0.7, n_paths, seed,
+                                       t_nodes=t_nodes, chunk=chunk,
+                                       threads=threads)
+        expected = _replay_mean_squares(_H_HALF, grid, n_paths, seed, chunk,
+                                        t_nodes, moments.indices)
+        for i in moments.indices:
+            np.testing.assert_array_equal(moments.mean_squares[i], expected[i])
+
+
+def _replay_mean_squares(kernel, grid, n_paths, seed, chunk, t_nodes, indices):
+    """moment_scaling_check's mean squares, each chunk drawn and summed whole."""
+    total = {i: np.zeros(t_nodes.size) for i in indices}
+    for dW, dX, aux in _replay_chunks(seed, -0.7, grid, n_paths, chunk):
+        conv = volterra_convolve_batch(dW, aux, kernel, grid)
+        for i in indices:
+            w = (conv[:, :-1] ** i[0]) * (grid.nodes[:-1] ** kernel.zeta) ** i[1] \
+                / core.midx_factorial(i)
+            a = np.cumsum(w * dX, axis=1)
+            total[i] = total[i] + np.sum(a[:, t_nodes - 1] ** 2, axis=0)
+    return {i: total[i] / n_paths for i in indices}
+
+
 def test_blocked_tail_counts_and_moments_match_whole_chunks():
     kernel = riemann_liouville(0.1, 0.01)
     f = ExponentialVol(0.3, (0.5, 0.2))
@@ -255,16 +416,10 @@ def test_blocked_tail_counts_and_moments_match_whole_chunks():
     t_nodes = np.array([64, 256, 1024])
     moments = moment_scaling_check(kernel, grid, -0.7, n_paths, seed,
                                    t_nodes=t_nodes, chunk=chunk)
-    total = {i: np.zeros(t_nodes.size) for i in moments.indices}
-    for dW, dX, aux in _replay_chunks(seed, -0.7, grid, n_paths, chunk):
-        conv = volterra_convolve_batch(dW, aux, kernel, grid)
-        for i in moments.indices:
-            w = (conv[:, :-1] ** i[0]) * (grid.nodes[:-1] ** kernel.zeta) ** i[1] \
-                / core.midx_factorial(i)
-            a = np.cumsum(w * dX, axis=1)
-            total[i] = total[i] + np.sum(a[:, t_nodes - 1] ** 2, axis=0)
+    expected = _replay_mean_squares(kernel, grid, n_paths, seed, chunk, t_nodes,
+                                    moments.indices)
     for i in moments.indices:
-        np.testing.assert_array_equal(moments.mean_squares[i], total[i] / n_paths)
+        np.testing.assert_array_equal(moments.mean_squares[i], expected[i])
 
 
 def test_draw_buffer_is_not_shared_across_calls():
@@ -282,10 +437,10 @@ def test_draw_buffer_is_not_shared_across_calls():
         np.testing.assert_array_equal(X1, kept[1])
         assert not np.array_equal(S1, S2)
 
-        # Two 64-path chunks draw 3 * 64 * 4096 normals each (6.3 MB)
-        # into the call's workspace, beside its FFT, driver and level
-        # arrays (about 30 MB more); none of that may stay allocated
-        # once the call has returned.
+        # Two 64-path chunks draw 2 * 64 * 4096 normals each (4.2 MB;
+        # constant f reads no third row) into the call's workspace,
+        # beside its FFT, driver and level arrays (about 30 MB more);
+        # none of that may stay allocated once the call has returned.
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -507,6 +662,40 @@ def test_rde_convergence_against_closed_form():
     assert report.ratio == report.rms[128] / report.rms[64]
     assert 0.35 < report.ratio < 0.65
     assert report.n_paths == 512 and report.seed == 3
+
+
+def test_rde_convergence_is_bit_identical_to_whole_chunks():
+    # Replays the check's first form: each chunk's three rows drawn
+    # whole, levels and stepping at both resolutions on whole chunks.
+    b, c, rho, s0, n_coarse = 1.5, 0.8, -0.7, 1.0, 256
+    n_paths, chunk, seed = 150, 100, 6
+    fine = core.Grid(T=1.0, N=2 * n_coarse)
+    m = b * c
+    rel = []
+    for _, dX, _ in _replay_chunks(seed, rho, fine, n_paths, chunk):
+        count = dX.shape[0]
+        out = np.zeros((count, 2))
+        for res, inc in enumerate((dX.reshape(count, n_coarse, 2).sum(axis=2),
+                                   dX)):
+            contrib = c * inc
+            y1 = np.zeros((count, inc.shape[1] + 1))
+            np.cumsum(contrib, axis=1, out=y1[:, 1:])
+            cells2 = y1[:, :-1] * contrib \
+                + c ** 2 * (0.5 * (inc ** 2 - 1.0 / inc.shape[1]))
+            y2 = np.zeros_like(y1)
+            np.cumsum(cells2, axis=1, out=y2[:, 1:])
+            S = s0 + solve_rde_batch(y1, y2, SigmaLinear(0.0, b), s0)[:, -1]
+            exact = s0 * np.exp(m * np.sum(inc, axis=1) - 0.5 * m ** 2 * 1.0)
+            out[:, res] = (S - exact) / exact
+        rel.append(out)
+    rel = np.concatenate(rel)
+    for threads in (1, 2):
+        report = rde_convergence_check(SigmaLinear(0.0, b), ConstantVol(c),
+                                       riemann_liouville(0.3, 0.01), rho, s0,
+                                       n_coarse, n_paths, seed,
+                                       threads=threads, chunk=chunk)
+        assert report.rms == {n_coarse: float(np.sqrt(np.mean(rel[:, 0] ** 2))),
+                              2 * n_coarse: float(np.sqrt(np.mean(rel[:, 1] ** 2)))}
 
 
 def test_rde_convergence_needs_the_benchmark_model():
