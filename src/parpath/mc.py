@@ -14,10 +14,13 @@ a constant kernel (H = 1/2) makes it const * W.  Such a chunk stops
 its draw after the second block.  The stream fills the block in order,
 so the first two are the same bits either way and no sample changes.
 
-Each engine call makes one workspace (:class:`parpath.lift._Workspace`)
-that gives every worker thread its own named arrays for the length of
-the call: the chunk's normal draw, the FFT's padded rows, spectrum and
-inverse, the driver and the level arrays.  The normals are drawn once
+Every engine hands its per-chunk stage to :func:`_run_chunks`, the one
+place that plans the chunks, checks their working set, makes the
+call's workspace, draws each chunk into it and dispatches the chunks.
+The workspace (:class:`parpath.lift._Workspace`) gives every worker
+thread its own named arrays for the length of the call: the chunk's
+normal draw, the FFT's padded rows, spectrum and inverse, the driver
+and the level arrays.  The normals are drawn once
 per chunk; convolution, vol function and cumulative levels then run on
 row blocks of 64 paths in the same arrays, so a block allocates little
 and faults in no fresh pages, however large the chunk.  Every stage is
@@ -29,7 +32,7 @@ both levels into two node-major (N, chunk) workspace arrays, and the
 stepper's loop over nodes runs once per chunk on them (its Python
 loop costs the same at any width), keeping only the snapshot nodes.
 
-Before any draw, every engine checks that its worker threads'
+Before any draw, the runner checks that the worker threads'
 workspaces, with the draw rows they make, fit in physical memory, and
 raises :class:`ConfigurationError` when they cannot.
 
@@ -80,22 +83,22 @@ def _physical_memory():
         return None
 
 
-def _chunk_plan(n_paths: int, chunk: int, N: int, threads: int,
-                sigma: SigmaFunction | None = None, aux: bool = True):
+def _chunk_plan(n_paths: int, chunk: int, N: int, threads: int, aux: bool,
+                stepped: bool):
     """(chunk id, path count) pairs covering [0, n_paths).
 
     Checks first that the workspaces of the threads that will run fit
     in physical memory.  Each holds the chunk's (3, count, N) draw, or
     (2, count, N) without ``aux``; the row block's arrays; and, when
-    the engine steps a non-constant ``sigma``, the (2, N, count) cell
-    increments.
+    the engine is ``stepped``, the (2, N, count) cell increments.
     """
     if n_paths < 1:
         raise ConfigurationError(f"need at least one path, got {n_paths}")
     if chunk < 1:
         raise ConfigurationError(f"chunk size must be positive, got {chunk}")
+    if threads < 1:
+        raise ConfigurationError(f"need at least one thread, got {threads}")
     count = min(chunk, n_paths)
-    stepped = sigma is not None and not isinstance(sigma, SigmaConstant)
     rows = _BLOCK_ROWS + (_STEPPED_BLOCK_ROWS if stepped else 0)
     per_thread = 8 * (N + 1) * ((2 + aux + 2 * stepped) * count
                                 + rows * min(count, _ROW_BLOCK))
@@ -108,15 +111,8 @@ def _chunk_plan(n_paths: int, chunk: int, N: int, threads: int,
             f"{count}-path chunks at N = {N}, more than the "
             f"{memory / 2 ** 20:.0f} MB of physical memory; use fewer "
             "threads or smaller chunks")
-    plan = []
-    start = 0
-    cid = 0
-    while start < n_paths:
-        count = min(chunk, n_paths - start)
-        plan.append((cid, count))
-        start += count
-        cid += 1
-    return plan
+    return [(cid, min(chunk, n_paths - start))
+            for cid, start in enumerate(range(0, n_paths, chunk))]
 
 
 def _dispatch(worker, plan, threads: int):
@@ -126,6 +122,29 @@ def _dispatch(worker, plan, threads: int):
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(worker, cid, count) for cid, count in plan]
         return [fut.result() for fut in futures]
+
+
+def _run_chunks(stage, grid: core.Grid, seed: int, rho: float, n_paths: int,
+                chunk: int, threads: int, aux: bool, stepped: bool = False):
+    """Every chunk's ``stage(count, dW, dX, normals, work)``, in chunk order.
+
+    The one place where an engine plans, guards, draws and dispatches
+    its chunks, so the guard counts what the chunks hold: ``aux`` says
+    whether the draw makes its third row (``normals`` is None without
+    it), ``stepped`` whether the stage holds node-major cell
+    increments.  ``work`` is the call's workspace, and ``dW``, ``dX``
+    and ``normals`` are views of its draw.
+    """
+    plan = _chunk_plan(n_paths, chunk, grid.N, threads, aux, stepped)
+    work = _Workspace()
+
+    def worker(cid, count):
+        dW, dX, normals = _draw_increments(
+            seed, cid, count, grid, rho, with_aux=aux,
+            out=work.view("draw", (2 + aux, count, grid.N)))
+        return stage(count, dW, dX, normals, work)
+
+    return _dispatch(worker, plan, threads)
 
 
 def _row_blocks(count: int):
@@ -240,26 +259,24 @@ def _cell_increments(y1, y2, dy1, y2_cell, work: _Workspace):
     y2_cell[...] = d2.T
 
 
-def _state_worker(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
-                  rho: float, s0: float, grid: core.Grid, snaps, seed: int,
-                  cell_correction: bool, with_x: bool = True):
-    """Chunk worker giving (S, X) at the snapshot nodes (X None unless with_x).
+def _run_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
+               rho: float, s0: float, grid: core.Grid, snaps, seed: int,
+               cell_correction: bool, n_paths: int, chunk: int, threads: int,
+               reduce=None):
+    """Each chunk's ``reduce(S)``, S the state at the snapshot nodes; without
+    ``reduce``, each chunk's (S, X), X the driver at the same nodes.
 
     Each stage before the stepper works row by row, so it runs on row
     blocks in the call's workspace; a stepped sigma's loop over nodes
     costs the same at any width, so it runs once on the whole chunk's
     node-major cell increments.
     """
-    work = _Workspace()
     stepped = not isinstance(sigma, SigmaConstant)  # else y2 is never read
     const_f = isinstance(f, ConstantVol)  # the driver is never read
-    aux = _reads_aux(kernel, f)
+    with_x = reduce is None
     N = grid.N
 
-    def worker(cid, count):
-        dW, dX, normals = _draw_increments(
-            seed, cid, count, grid, rho, with_aux=aux,
-            out=work.view("draw", (2 + aux, count, N)))
+    def stage(count, dW, dX, normals, work):
         X = np.empty((count, snaps.size)) if with_x else None
         if stepped:
             dy1 = work.view("dy1", (N, count))
@@ -285,9 +302,10 @@ def _state_worker(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
                 X[rows] = path[:, snaps]
         if stepped:
             S = s0 + _step_nodes(dy1, y2_cell, sigma, s0, snaps).T
-        return S, X
+        return (S, X) if with_x else reduce(S)
 
-    return worker
+    return _run_chunks(stage, grid, seed, rho, n_paths, chunk, threads,
+                       _reads_aux(kernel, f), stepped)
 
 
 def simulate_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
@@ -298,17 +316,17 @@ def simulate_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
 
     Returns ``(S, X)`` of shape (n_paths, len(snapshots)).
     """
-    snaps = np.asarray(snapshots, dtype=np.int64)
-    if snaps.ndim != 1 or snaps.size == 0:
+    nodes = np.asarray(snapshots, dtype=np.float64)
+    if nodes.ndim != 1 or nodes.size == 0:
         raise ConfigurationError("need at least one snapshot node")
-    if snaps.min() < 0 or snaps.max() > grid.N:
+    if not np.all(nodes == np.round(nodes)):
+        raise ConfigurationError(
+            f"snapshot nodes must be whole numbers, got {nodes.tolist()}")
+    if nodes.min() < 0 or nodes.max() > grid.N:
         raise ConfigurationError("snapshot nodes out of range")
 
-    plan = _chunk_plan(n_paths, chunk, grid.N, threads, sigma,
-                       _reads_aux(kernel, f))
-    worker = _state_worker(kernel, f, sigma, rho, s0, grid, snaps, seed,
-                           cell_correction)
-    parts = _dispatch(worker, plan, threads)
+    parts = _run_state(kernel, f, sigma, rho, s0, grid, nodes.astype(np.int64),
+                       seed, cell_correction, n_paths, chunk, threads)
     S = np.concatenate([p[0] for p in parts])
     X = np.concatenate([p[1] for p in parts])
     return S, X
@@ -349,21 +367,19 @@ def moment_scaling_check(kernel: KernelSpec, grid: core.Grid, rho: float,
     if indices is None:
         indices = ((0, 0), (1, 0), (0, 1))
     indices = tuple(tuple(i) for i in indices)
+    if not indices:
+        raise ConfigurationError("need at least one index")
     if t_nodes is None:
         if grid.N % 64:
             raise ConfigurationError("default t grid needs N divisible by 64")
         t_nodes = [grid.N >> k for k in range(7)]
     t_nodes = np.asarray(sorted(set(int(v) for v in t_nodes)), dtype=np.int64)
+    if t_nodes.size < 2:
+        raise ConfigurationError("a slope needs at least two distinct t nodes")
     if t_nodes[0] < 1 or t_nodes[-1] > grid.N:
         raise ConfigurationError("t nodes out of range")
 
-    work = _Workspace()
-    aux = _reads_aux(kernel)
-
-    def worker(cid, count):
-        dW, dX, normals = _draw_increments(
-            seed, cid, count, grid, rho, with_aux=aux,
-            out=work.view("draw", (2 + aux, count, grid.N)))
+    def stage(count, dW, dX, normals, work):
         # Column-major, the layout the fancy-indexed squares of a whole
         # chunk had, so np.sum below adds in the same (pairwise) order.
         squares = {i: np.empty((count, t_nodes.size), order="F")
@@ -378,8 +394,8 @@ def moment_scaling_check(kernel: KernelSpec, grid: core.Grid, rho: float,
         # One sum per chunk: per-block sums would add in another order.
         return {i: np.sum(sq, axis=0) for i, sq in squares.items()}
 
-    plan = _chunk_plan(n_paths, chunk, grid.N, threads, aux=aux)
-    parts = _dispatch(worker, plan, threads)
+    parts = _run_chunks(stage, grid, seed, rho, n_paths, chunk, threads,
+                        _reads_aux(kernel))
     t_vals = grid.nodes[t_nodes]
     slopes, expected, deviations, mean_squares = {}, {}, {}, {}
     for i in indices:
@@ -432,17 +448,15 @@ def ito_consistency_check(kernel: KernelSpec, config: core.IndexConfig,
     RMS(finest coarse level) / RMS(coarsest).
     """
     coarse_cells = tuple(sorted(int(c) for c in coarse_cells))
+    if not coarse_cells or coarse_cells[0] < 1:
+        raise ConfigurationError(
+            f"need at least one coarse partition of >= 1 cell, got {coarse_cells}")
     for c in coarse_cells:
         if fine_cells % c:
             raise ConfigurationError("coarse partitions must divide the fine grid")
     grid = core.Grid(T=T, N=fine_cells)
-    work = _Workspace()
-    aux = _reads_aux(kernel)
 
-    def worker(cid, count):
-        dW, dX, normals = _draw_increments(
-            seed, cid, count, grid, rho, with_aux=aux,
-            out=work.view("draw", (2 + aux, count, grid.N)))
+    def stage(count, dW, dX, normals, work):
         out = np.zeros((count, len(coarse_cells)))
         for b in range(count):
             xhat = _driver_xhat(dW, normals, slice(b, b + 1), kernel, grid,
@@ -457,9 +471,8 @@ def ito_consistency_check(kernel: KernelSpec, config: core.IndexConfig,
                 out[b, li] = comp - plain
         return out
 
-    plan = _chunk_plan(n_paths, chunk, grid.N, threads, aux=aux)
-    parts = _dispatch(worker, plan, threads)
-    D = np.concatenate(parts)
+    D = np.concatenate(_run_chunks(stage, grid, seed, rho, n_paths, chunk,
+                                   threads, _reads_aux(kernel)))
     rms = {cells: float(np.sqrt(np.mean(D[:, li] ** 2)))
            for li, cells in enumerate(coarse_cells)}
     coarsest, finest = coarse_cells[0], coarse_cells[-1]
@@ -523,12 +536,9 @@ def price_and_implied_vol(kernel: KernelSpec, f: VolFunction,
     if strikes.size == 0:
         raise ConfigurationError("need at least one strike")
     snaps = _nodes_for_times(grid, maturities)
-    state = _state_worker(kernel, f, sigma, rho, s0, grid, snaps, seed,
-                          cell_correction, with_x=False)
-    plan = _chunk_plan(n_paths, chunk, grid.N, threads, sigma,
-                       _reads_aux(kernel, f))
-    parts = _dispatch(state, plan, threads)
-    S = np.concatenate([p[0] for p in parts])
+    S = np.concatenate(_run_state(kernel, f, sigma, rho, s0, grid, snaps, seed,
+                                  cell_correction, n_paths, chunk, threads,
+                                  reduce=lambda S: S))
     rows = []
     for ki, K in enumerate(strikes):
         for mi, mat in enumerate(np.asarray(maturities, dtype=np.float64)):
@@ -584,13 +594,8 @@ def rde_convergence_check(sigma: SigmaFunction, f: VolFunction,
     m = sigma.b * f.c
     fine = core.Grid(T=T, N=2 * n_coarse)
     coarse = core.Grid(T=T, N=n_coarse)
-    work = _Workspace()
-    aux = _reads_aux(kernel, f)  # false: f is constant
 
-    def worker(cid, count):
-        _, dX, _ = _draw_increments(
-            seed, cid, count, fine, rho, with_aux=aux,
-            out=work.view("draw", (2 + aux, count, fine.N)))
+    def stage(count, dW, dX, normals, work):
         out = np.empty((count, 2))
         X_T = np.empty(count)
         for res, g in enumerate((coarse, fine)):
@@ -610,9 +615,9 @@ def rde_convergence_check(sigma: SigmaFunction, f: VolFunction,
             out[:, res] = (S - exact) / exact
         return out
 
-    plan = _chunk_plan(n_paths, chunk, fine.N, threads, sigma, aux)
-    parts = _dispatch(worker, plan, threads)
-    rel = np.concatenate(parts)
+    rel = np.concatenate(_run_chunks(stage, fine, seed, rho, n_paths, chunk,
+                                     threads, _reads_aux(kernel, f),
+                                     stepped=True))
     rms = {n_coarse: float(np.sqrt(np.mean(rel[:, 0] ** 2))),
            2 * n_coarse: float(np.sqrt(np.mean(rel[:, 1] ** 2)))}
     return RdeConvergenceReport(n_cells=(n_coarse, 2 * n_coarse), rms=rms,
@@ -663,19 +668,10 @@ def ldp_tail_check(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
     t_arr = grid.nodes[snaps]
     thresholds = z * t_arr ** (0.5 - H)
 
-    state = _state_worker(kernel, f, sigma, rho, 0.0, grid, snaps, seed, True,
-                          with_x=False)
-
-    def worker(cid, count):
-        S, _ = state(cid, count)
-        return np.sum(S >= thresholds[None, :], axis=0)
-
-    plan = _chunk_plan(n_paths, chunk, grid.N, threads, sigma,
-                       _reads_aux(kernel, f))
-    parts = _dispatch(worker, plan, threads)
-    counts = np.zeros(snaps.size, dtype=np.int64)
-    for p in parts:
-        counts += p
+    parts = _run_state(kernel, f, sigma, rho, 0.0, grid, snaps, seed, True,
+                       n_paths, chunk, threads,
+                       reduce=lambda S: np.sum(S >= thresholds[None, :], axis=0))
+    counts = np.sum(parts, axis=0)
     keep = counts >= min_count
     dropped = tuple(float(t) for t in t_arr[~keep])
     if int(keep.sum()) < 3:

@@ -170,22 +170,28 @@ def test_constant_f_skips_the_convolution(monkeypatch):
 
 @pytest.mark.parametrize("f", [ConstantVol(0.2), ExponentialVol(0.3, (0.5, 0.2))],
                          ids=["constant-f", "exponential-f"])
-def test_stepped_chunk_allocates_less_than_one_level_array(f):
+def test_stepped_chunk_allocates_less_than_one_level_array(monkeypatch, f):
     # Once the first chunk has sized the workspace, a stepped chunk
     # writes its cell increments into it and keeps only the snapshot
     # nodes: no (chunk, N+1) array is allocated, let alone gathered.
+    # The stand-in dispatcher runs the second chunk under tracemalloc.
     grid, count = core.Grid(T=1.0, N=4096), 256
-    worker = mc._state_worker(riemann_liouville(0.3, 0.01), f,
-                              SigmaLinear(0.0, 1.0), -0.7, 1.0, grid,
-                              np.array([1, 2048, 4096]), 3, True)
-    worker(0, count)
-    tracemalloc.start()
-    try:
-        worker(1, count)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < count * (grid.N + 1) * 8
+    peak = []
+
+    def measured(worker, plan, threads):
+        first = worker(*plan[0])
+        tracemalloc.start()
+        try:
+            second = worker(*plan[1])
+            peak.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return [first, second]
+
+    monkeypatch.setattr(mc, "_dispatch", measured)
+    simulate_state(riemann_liouville(0.3, 0.01), f, SigmaLinear(0.0, 1.0),
+                   -0.7, 1.0, grid, [1, 2048, 4096], 2 * count, 3, chunk=count)
+    assert peak and peak[0] < count * (grid.N + 1) * 8
 
 
 def test_stepped_blow_up_names_the_node_and_paths():
@@ -214,23 +220,82 @@ def test_stepped_blow_up_names_the_node_and_paths():
     assert "of 100 paths" in str(expected)
 
 
-def test_working_set_guard_fires_before_any_draw(monkeypatch):
-    def no_stream(*args, **kwargs):
-        raise AssertionError("a stream was made")
+def _engine_runs(grid, n_paths, chunk, threads=1):
+    """One call of each Monte Carlo engine on ``grid``, keyed by engine."""
+    kernel, sigma = _H_ROUGH, SigmaLinear(0.0, 1.0)
+    problem = RateProblem(ConstantVol(0.3), 1.0, -0.7, 0.3, K=8, restarts=1,
+                          seed=0, z_grid=(0.05,))
+    kw = dict(threads=threads, chunk=chunk)
+    return {
+        "state": lambda: simulate_state(kernel, _EXP_F, sigma, -0.7, 1.0, grid,
+                                        [grid.N], n_paths, 1, **kw),
+        "price": lambda: price_and_implied_vol(kernel, _EXP_F, sigma, -0.7,
+                                               1.0, grid, (1.0,), (1.0,),
+                                               n_paths, 1, **kw),
+        "ldp": lambda: ldp_tail_check(kernel, _EXP_F, SigmaConstant(1.0),
+                                      -0.7, grid, 0.05, (0.25, 0.5, 1.0),
+                                      problem, n_paths, 1, min_count=1, **kw),
+        "moments": lambda: moment_scaling_check(
+            kernel, grid, -0.7, n_paths, 1, t_nodes=[grid.N // 4, grid.N],
+            **kw),
+        "ito": lambda: ito_consistency_check(
+            kernel, SMALL, _EXP_F, -0.7, n_paths, 1,
+            coarse_cells=(grid.N // 4,), fine_cells=grid.N, **kw),
+        "rde": lambda: rde_convergence_check(sigma, ConstantVol(0.3), kernel,
+                                             -0.7, 1.0, grid.N // 2, n_paths,
+                                             1, **kw),
+    }
 
-    monkeypatch.setattr(mc, "stream", no_stream)
-    kernel = riemann_liouville(0.3, 0.01)
-    grid = core.Grid(T=1.0, N=4096)
+
+_ENGINES = ("state", "price", "ldp", "moments", "ito", "rde")
+
+
+def _no_stream(*args, **kwargs):
+    raise AssertionError("a stream was made")
+
+
+def test_working_set_guard_fires_before_any_draw(monkeypatch):
+    monkeypatch.setattr(mc, "stream", _no_stream)
     huge = 1 << 40  # a (3, 2^40, 4096) draw is 10^17 bytes
-    with pytest.raises(ConfigurationError, match="physical memory"):
-        simulate_state(kernel, ConstantVol(0.2), SigmaLinear(0.0, 1.0), -0.7,
-                       1.0, grid, [4096], huge, seed=1, chunk=huge)
-    with pytest.raises(ConfigurationError, match="physical memory"):
-        price_and_implied_vol(kernel, ConstantVol(0.2), SigmaLinear(0.0, 1.0),
-                              -0.7, 1.0, grid, (1.0,), (1.0,), huge, seed=1,
-                              chunk=huge)
-    with pytest.raises(ConfigurationError, match="physical memory"):
-        moment_scaling_check(kernel, grid, -0.7, huge, seed=1, chunk=huge)
+    for run in _engine_runs(core.Grid(T=1.0, N=4096), huge, huge).values():
+        with pytest.raises(ConfigurationError, match="physical memory"):
+            run()
+
+
+@pytest.mark.parametrize("engine", _ENGINES)
+@pytest.mark.parametrize("threads", [0, -2])
+def test_every_engine_refuses_fewer_than_one_thread(monkeypatch, engine,
+                                                    threads):
+    # The working-set guard counts min(threads, chunks) workers, so a
+    # thread count below 1 would run on one thread unguarded.
+    monkeypatch.setattr(mc, "stream", _no_stream)
+    run = _engine_runs(core.Grid(T=1.0, N=64), 20, 8, threads)[engine]
+    with pytest.raises(ConfigurationError, match="at least one thread"):
+        run()
+
+
+@pytest.mark.parametrize("engine", _ENGINES)
+def test_each_call_dispatches_once_and_draws_once_per_chunk(monkeypatch,
+                                                            engine):
+    # perfbench traces mc._dispatch (its mc.chunk spans) and
+    # mc._draw_increments (mc.draw): both must stay on every engine's
+    # route, looked up as module globals at call time.
+    dispatches, draws = [], []
+    real_dispatch, real_draw = mc._dispatch, mc._draw_increments
+
+    def dispatch(worker, plan, threads):
+        dispatches.append(len(plan))
+        return real_dispatch(worker, plan, threads)
+
+    def draw(*args, **kwargs):
+        draws.append(args[1])
+        return real_draw(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "_dispatch", dispatch)
+    monkeypatch.setattr(mc, "_draw_increments", draw)
+    _engine_runs(core.Grid(T=1.0, N=64), 20, 8, threads=2)[engine]()
+    assert dispatches == [3]
+    assert sorted(draws) == [0, 1, 2]
 
 
 class _Drew(Exception):
@@ -245,17 +310,18 @@ def _guard_threshold(monkeypatch, run):
         raise _Drew
 
     limit = [0]
-    monkeypatch.setattr(mc, "stream", no_stream)
-    monkeypatch.setattr(mc, "_physical_memory", lambda: limit[0])
     lo, hi = 0, 1 << 40  # the guard stops the run at lo, not at hi
-    while hi - lo > 1:
-        limit[0] = (lo + hi) // 2
-        try:
-            run()
-        except ConfigurationError:
-            lo = limit[0]
-        except _Drew:
-            hi = limit[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(mc, "stream", no_stream)
+        patch.setattr(mc, "_physical_memory", lambda: limit[0])
+        while hi - lo > 1:
+            limit[0] = (lo + hi) // 2
+            try:
+                run()
+            except ConfigurationError:
+                lo = limit[0]
+            except _Drew:
+                hi = limit[0]
     return hi
 
 
@@ -287,6 +353,62 @@ def test_working_set_guard_counts_the_rows_drawn(monkeypatch):
     with pytest.raises(ConfigurationError, match="physical memory"):
         run(_EXP_F)
     assert len(streams) == 1
+
+
+def _holding_workspace(held):
+    """A workspace class that appends, per instance, the most bytes the
+    calling thread's views held at once."""
+    class Holding(_Workspace):
+        def __init__(self):
+            super().__init__()
+            self.index = len(held)
+            held.append(0)
+
+        def view(self, name, shape, dtype=np.float64):
+            arr = super().view(name, shape, dtype)
+            now = sum(a.nbytes for a in self._local.__dict__.values())
+            held[self.index] = max(held[self.index], now)
+            return arr
+
+    return Holding
+
+
+_WORKING_SET_GRID = core.Grid(T=1.0, N=1024)  # N > 512: the FFT arrays count
+
+
+def _state_run(f, sigma):
+    return lambda count: simulate_state(
+        _H_ROUGH, f, sigma, -0.7, 1.0, _WORKING_SET_GRID, [1, 512, 1024],
+        count, 2, chunk=count)
+
+
+def _check_run(engine):
+    return lambda count: _engine_runs(_WORKING_SET_GRID, count, count)[engine]()
+
+
+@pytest.mark.parametrize("count", [64, 256])
+@pytest.mark.parametrize("run", [
+    _state_run(ConstantVol(0.3), SigmaConstant(0.7)),
+    _state_run(_EXP_F, SigmaConstant(0.7)),
+    _state_run(ConstantVol(0.3), SigmaLinear(0.1, 0.5)),
+    _state_run(_EXP_F, SigmaLinear(0.1, 0.5)),
+    _check_run("moments"),
+    _check_run("ito"),
+    _check_run("rde"),
+], ids=["constant-f-constant-sigma", "exponential-f-constant-sigma",
+        "constant-f-stepped-sigma", "exponential-f-stepped-sigma",
+        "moments", "ito", "rde"])
+def test_working_set_estimate_bounds_what_the_workspace_holds(monkeypatch,
+                                                              run, count):
+    # The guard's per-thread estimate is kept by hand; the bytes one
+    # thread's workspace views hold during a one-chunk call must not
+    # exceed it.  With one chunk on one thread, the least physical
+    # memory the guard lets through is that estimate.
+    estimate = _guard_threshold(monkeypatch, lambda: run(count))
+    held = []
+    monkeypatch.setattr(mc, "_Workspace", _holding_workspace(held))
+    run(count)
+    assert len(held) == 1 and 0 < held[0] <= estimate
 
 
 def test_two_row_draw_is_the_prefix_of_the_three_row_draw():
@@ -483,6 +605,17 @@ def test_simulate_state_validation():
     with pytest.raises(ConfigurationError, match="chunk size"):
         simulate_state(kernel, ok["f"], ok["sigma"], 0.0, 1.0, grid, [16], 2, 1,
                        chunk=0)
+    # Node 1.5 used to run as node 1; a whole float is still a node.
+    for snaps in ([1.5], [8, 12.25], [float("nan")]):
+        with pytest.raises(ConfigurationError, match="whole numbers"):
+            simulate_state(kernel, ok["f"], ok["sigma"], 0.0, 1.0, grid,
+                           snaps, 2, 1)
+    for got, want in zip(
+            simulate_state(kernel, ok["f"], ok["sigma"], 0.0, 1.0, grid,
+                           [8.0, 16.0], 2, 1),
+            simulate_state(kernel, ok["f"], ok["sigma"], 0.0, 1.0, grid,
+                           [8, 16], 2, 1)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_zero_vol_freezes_the_state():
@@ -542,6 +675,15 @@ def test_moment_scaling_validation():
     with pytest.raises(ConfigurationError, match="out of range"):
         moment_scaling_check(kernel, core.Grid(T=1.0, N=64), 0.0, 10, seed=1,
                              t_nodes=[32, 65])
+    # No index would pass having measured nothing, and fewer than two
+    # distinct t nodes leave no slope to fit.
+    with pytest.raises(ConfigurationError, match="at least one index"):
+        moment_scaling_check(kernel, core.Grid(T=1.0, N=64), 0.0, 10, seed=1,
+                             indices=())
+    for t_nodes in ([], [64], [32, 32.0]):
+        with pytest.raises(ConfigurationError, match="two distinct t nodes"):
+            moment_scaling_check(kernel, core.Grid(T=1.0, N=64), 0.0, 10,
+                                 seed=1, t_nodes=t_nodes)
 
 
 def test_moment_scaling_degenerate_moment():
@@ -590,6 +732,14 @@ def test_ito_coarse_must_divide_fine():
         ito_consistency_check(riemann_liouville(0.3, 0.01), SMALL,
                               ConstantVol(1.0), rho=0.0, n_paths=2, seed=1,
                               coarse_cells=(24,), fine_cells=64)
+
+
+def test_ito_refuses_empty_or_empty_celled_partitions():
+    for coarse in ((), (0,), (-16, 16)):
+        with pytest.raises(ConfigurationError, match="coarse partition"):
+            ito_consistency_check(riemann_liouville(0.3, 0.01), SMALL,
+                                  ConstantVol(1.0), rho=0.0, n_paths=2,
+                                  seed=1, coarse_cells=coarse, fine_cells=64)
 
 
 # ---------------------------------------------------------------------------
