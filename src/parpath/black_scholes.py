@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from .exceptions import DomainError, NumericalError
 
@@ -15,6 +14,8 @@ _VOL_HI = 5.0
 
 def call_price(spot, strike, maturity, vol):
     """Undiscounted call price (r = 0), vectorized over the inputs."""
+    from scipy.special import ndtr
+
     spot = np.asarray(spot, dtype=np.float64)
     strike = np.asarray(strike, dtype=np.float64)
     maturity = np.asarray(maturity, dtype=np.float64)

@@ -21,7 +21,6 @@ import dataclasses
 import warnings
 
 import numpy as np
-import scipy.special
 
 from . import analysis, core
 from .exceptions import ConvergenceWarning, DomainError
@@ -263,9 +262,11 @@ def distance_alpha(ra: RoughPath, rb: RoughPath, alpha: float,
 
 def zeta_sum(r: float) -> float:
     """Riemann zeta, the dyadic-refinement series factor (needs r > 1)."""
+    from scipy.special import zeta
+
     if not r > 1.0:
         raise DomainError(f"zeta factor needs exponent > 1, got {r}")
-    return float(scipy.special.zeta(r))
+    return float(zeta(r))
 
 
 @dataclasses.dataclass(frozen=True)

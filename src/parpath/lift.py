@@ -27,8 +27,6 @@ import math
 import threading
 
 import numpy as np
-import scipy.fft
-import scipy.integrate
 
 from . import core
 from .exceptions import ConfigurationError, DomainError
@@ -205,6 +203,24 @@ class _Workspace:
         return self._shared[key]
 
 
+def _next_fast_len(target: int) -> int:
+    """Smallest ``2^a 3^b 5^c 7^d 11^e >= target`` (``target >= 1``).
+
+    The size ``scipy.fft.next_fast_len(target)`` returns, without the
+    cost of importing ``scipy.fft``; the FFT size fixes the output bits.
+    """
+    best = 1 << (target - 1).bit_length()
+    odd = [1]  # the 3-, 5-, 7-, 11-smooth numbers below ``best``
+    for prime in (3, 5, 7, 11):
+        for m in list(odd):
+            m *= prime
+            while m < best:
+                odd.append(m)
+                m *= prime
+    # The least power-of-two multiple of each that reaches ``target``.
+    return min(m << (-(-target // m) - 1).bit_length() for m in odd)
+
+
 @dataclasses.dataclass(frozen=True)
 class _ConvolutionPlan:
     """What the convolution needs of (kernel, grid) besides the draw.
@@ -232,7 +248,7 @@ class _ConvolutionPlan:
         L = N - 1  # rows of dW convolved with tail
         if L + 1 <= _DIRECT_CONV_MAX:
             return _ConvolutionPlan(tail, mu, sd, None, None)
-        size = scipy.fft.next_fast_len(2 * L - 1)
+        size = _next_fast_len(2 * L - 1)
         return _ConvolutionPlan(tail, mu, sd, size, np.fft.rfft(tail[:L], size))
 
 
@@ -352,6 +368,8 @@ def build_lift_quadrature(xhat_fns, config: core.IndexConfig, grid: core.Grid,
     xhat_fns : sequence of e callables
         Each vectorized over a time array.
     """
+    from scipy.integrate import quad
+
     e, d = config.e, config.d
     if d != 1:
         raise ConfigurationError("quadrature lift supports scalar drivers only")
@@ -386,8 +404,8 @@ def build_lift_quadrature(xhat_fns, config: core.IndexConfig, grid: core.Grid,
     a = {}
     for i in config.I:
         cells = (delta / 2.0) * (mono8(i) * xd8) @ gw8 / core.midx_factorial(i)
-        first, _ = scipy.integrate.quad(lambda r: integrand_scalar(i, r), 0.0, delta,
-                                        limit=200)
+        first, _ = quad(lambda r: integrand_scalar(i, r), 0.0, delta,
+                        limit=200)
         cells[0] = first
         a[i] = np.concatenate([[0.0], np.cumsum(cells)])[:, None]
 

@@ -308,6 +308,15 @@ def _run_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
                        _reads_aux(kernel, f), stepped)
 
 
+def _whole_nodes(values, what: str) -> np.ndarray:
+    """Grid nodes as int64, refusing any value that is not a whole number."""
+    nodes = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(nodes) & (nodes == np.round(nodes))):
+        raise ConfigurationError(
+            f"{what} must be whole numbers, got {nodes.tolist()}")
+    return nodes.astype(np.int64)
+
+
 def simulate_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
                    rho: float, s0: float, grid: core.Grid, snapshots,
                    n_paths: int, seed: int, threads: int = 1,
@@ -319,13 +328,11 @@ def simulate_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
     nodes = np.asarray(snapshots, dtype=np.float64)
     if nodes.ndim != 1 or nodes.size == 0:
         raise ConfigurationError("need at least one snapshot node")
-    if not np.all(nodes == np.round(nodes)):
-        raise ConfigurationError(
-            f"snapshot nodes must be whole numbers, got {nodes.tolist()}")
+    nodes = _whole_nodes(nodes, "snapshot nodes")
     if nodes.min() < 0 or nodes.max() > grid.N:
         raise ConfigurationError("snapshot nodes out of range")
 
-    parts = _run_state(kernel, f, sigma, rho, s0, grid, nodes.astype(np.int64),
+    parts = _run_state(kernel, f, sigma, rho, s0, grid, nodes,
                        seed, cell_correction, n_paths, chunk, threads)
     S = np.concatenate([p[0] for p in parts])
     X = np.concatenate([p[1] for p in parts])
@@ -373,7 +380,7 @@ def moment_scaling_check(kernel: KernelSpec, grid: core.Grid, rho: float,
         if grid.N % 64:
             raise ConfigurationError("default t grid needs N divisible by 64")
         t_nodes = [grid.N >> k for k in range(7)]
-    t_nodes = np.asarray(sorted(set(int(v) for v in t_nodes)), dtype=np.int64)
+    t_nodes = np.unique(_whole_nodes(t_nodes, "t nodes"))
     if t_nodes.size < 2:
         raise ConfigurationError("a slope needs at least two distinct t nodes")
     if t_nodes[0] < 1 or t_nodes[-1] > grid.N:
@@ -663,6 +670,9 @@ def ldp_tail_check(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
     """
     if not z > 0:
         raise ConfigurationError(f"tail threshold z must be positive, got {z}")
+    # A horizon with no exceedance would enter the fit as -log 0.
+    if not min_count >= 1:
+        raise ConfigurationError(f"min_count must be at least 1, got {min_count}")
     H = rate_problem.H
     snaps = _nodes_for_times(grid, t_values)
     t_arr = grid.nodes[snaps]

@@ -23,7 +23,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-import scipy.optimize
 
 from .exceptions import ConfigurationError, DomainError, NumericalError
 from .rng import stream
@@ -157,6 +156,8 @@ def minimize_rate(z: float, problem: RateProblem, tol: float = 1e-8) -> RateSolu
     never does, the solve raises :class:`NumericalError` rather than
     returning an uncertified value.
     """
+    from scipy.optimize import minimize
+
     z = float(z)
 
     def fg(g):
@@ -175,8 +176,7 @@ def minimize_rate(z: float, problem: RateProblem, tol: float = 1e-8) -> RateSolu
         else:
             gen = stream(problem.seed, "rate-start", r, f"{z:.12g}")
             g0 = 0.5 * (1.0 + abs(z)) * gen.standard_normal(problem.K)
-        res = scipy.optimize.minimize(fg, g0, jac=True, method="L-BFGS-B",
-                                      options=opts)
+        res = minimize(fg, g0, jac=True, method="L-BFGS-B", options=opts)
         iterations += int(res.nit)
         if best is None or res.fun < best.fun:
             best = res
@@ -185,8 +185,7 @@ def minimize_rate(z: float, problem: RateProblem, tol: float = 1e-8) -> RateSolu
     for _ in range(3):
         if grad_norm <= tol * (1.0 + abs(value)):
             break
-        res = scipy.optimize.minimize(fg, x, jac=True, method="L-BFGS-B",
-                                      options=opts)
+        res = minimize(fg, x, jac=True, method="L-BFGS-B", options=opts)
         iterations += int(res.nit)
         if res.fun <= value:
             x = res.x

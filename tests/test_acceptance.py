@@ -7,6 +7,7 @@ statistical items pin their seeds; tolerances are stated inline.
 
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -265,7 +266,9 @@ def test_tail_decay_rough_driver(capsys):
     # 30% at 10^6 paths.  The horizons span a factor 16 so the t^(-2H)
     # regressor dominates its own subleading corrections; a narrower
     # window (factor 4) leaves the slope biased high by 30-40%.  Runs
-    # minutes; seed pinned.
+    # minutes; seed pinned.  The sample does not depend on the thread
+    # count (test_outputs_independent_of_thread_count), so the run uses
+    # the CPUs it may, capped at 4 to keep the working set small.
     f = ExponentialVol(1.0, (1.0, 0.0))
     T = 4e-3
     grid = core.Grid(T=T, N=4096)
@@ -276,7 +279,8 @@ def test_tail_decay_rough_driver(capsys):
     started = time.monotonic()
     report = ldp_tail_check(riemann_liouville(0.3, 0.01), f,
                             SigmaConstant(1.0), -0.7, grid, 0.3, t_values,
-                            problem, n_paths=10 ** 6, seed=1)
+                            problem, n_paths=10 ** 6, seed=1,
+                            threads=min(len(os.sched_getaffinity(0)), 4))
     minutes = (time.monotonic() - started) / 60.0
     dev = abs(report.ratio - 1.0)
     _report(capsys, "tail-decay-H0.3", dev <= 0.30,

@@ -503,6 +503,24 @@ def test_mc_ldp_rejects_non_positive_threshold(tmp_path, capsys, z):
     assert not (out / "mc_summary.json").exists()
 
 
+@pytest.mark.parametrize("min_count", ["0", "-1"])
+def test_mc_ldp_rejects_min_count_below_one(tmp_path, capsys, min_count):
+    # At z = 0.6 every horizon counted 0 exceedances, and min_count = 0
+    # kept them all: the fit took -log 0 and wrote "slope": NaN, which is
+    # not JSON.
+    text = (LDP.replace("mc.z = 0.15", "mc.z = 0.6")
+            .replace("mc.n_paths = 50000", "mc.n_paths = 2000")
+            + f"mc.min_count = {min_count}\n")
+    out = tmp_path / "x"
+    assert main(["mc", "--config", _cfg(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "min_count" in err
+    assert not (out / "mc_summary.json").exists()
+    written = list(out.rglob("*")) if out.exists() else []
+    assert not any(b"NaN" in p.read_bytes() for p in written if p.is_file())
+
+
 def test_mc_unknown_check(tmp_path, capsys):
     cfg = _cfg(tmp_path, MOMENTS.replace("mc.check = moments",
                                          "mc.check = bogus"))

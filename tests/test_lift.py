@@ -10,8 +10,8 @@ import scipy.integrate
 from parpath.analysis import chen_defect_report
 from parpath.core import Grid
 from parpath.exceptions import ConfigurationError, DomainError
-from parpath.lift import (BrownianBundle, _hybrid_cell_coeffs, _Workspace,
-                          build_lift, build_lift_quadrature, kernel_antideriv,
+from parpath.lift import (BrownianBundle, _hybrid_cell_coeffs,
+                          _next_fast_len, _Workspace, build_lift, build_lift_quadrature, kernel_antideriv,
                           kernel_eval, kernel_sq_antideriv, riemann_liouville,
                           simulate_brownian, volterra_convolve,
                           volterra_convolve_batch)
@@ -197,6 +197,17 @@ def test_fft_route_matches_the_scipy_formula(N, with_aux):
     aux = gen.standard_normal((3, N)) if with_aux else None
     np.testing.assert_array_equal(volterra_convolve_batch(dW, aux, spec, grid),
                                   _scipy_convolve_batch(dW, aux, spec, grid))
+
+
+def test_next_fast_len_is_scipys():
+    # The FFT size fixes the convolution's bits, so the helper must pick
+    # scipy's size everywhere, including the 2 (N - 1) - 1 of every
+    # power-of-two and power-of-ten grid the tests and examples use.
+    sizes = list(range(1, 20001))
+    sizes += [2 * (N - 1) - 1 for N in [2 ** k for k in range(10, 21)]
+              + [10 ** k for k in range(3, 7)]]
+    assert [_next_fast_len(n) for n in sizes] == \
+        [scipy.fft.next_fast_len(n) for n in sizes]
 
 
 def test_reused_workspace_gives_fresh_array_bits():

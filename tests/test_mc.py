@@ -606,7 +606,7 @@ def test_simulate_state_validation():
         simulate_state(kernel, ok["f"], ok["sigma"], 0.0, 1.0, grid, [16], 2, 1,
                        chunk=0)
     # Node 1.5 used to run as node 1; a whole float is still a node.
-    for snaps in ([1.5], [8, 12.25], [float("nan")]):
+    for snaps in ([1.5], [8, 12.25], [float("nan")], [float("inf")]):
         with pytest.raises(ConfigurationError, match="whole numbers"):
             simulate_state(kernel, ok["f"], ok["sigma"], 0.0, 1.0, grid,
                            snaps, 2, 1)
@@ -684,6 +684,16 @@ def test_moment_scaling_validation():
         with pytest.raises(ConfigurationError, match="two distinct t nodes"):
             moment_scaling_check(kernel, core.Grid(T=1.0, N=64), 0.0, 10,
                                  seed=1, t_nodes=t_nodes)
+    # Node 16.5 used to run as node 16; a whole float is still a node.
+    for t_nodes in ([16.5, 64], [16, 32.25], [float("nan"), 64],
+                    [16, float("inf")]):
+        with pytest.raises(ConfigurationError, match="whole numbers"):
+            moment_scaling_check(kernel, core.Grid(T=1.0, N=64), 0.0, 10,
+                                 seed=1, t_nodes=t_nodes)
+    whole, ints = (moment_scaling_check(kernel, core.Grid(T=1.0, N=64), 0.0,
+                                        10, seed=1, t_nodes=t_nodes)
+                   for t_nodes in ([16.0, 64.0], [16, 64]))
+    assert whole.slopes == ints.slopes
 
 
 def test_moment_scaling_degenerate_moment():
@@ -908,3 +918,16 @@ def test_ldp_drops_thin_times_and_gives_up_when_starved():
     with pytest.raises(InsufficientDataError, match="exceedances"):
         ldp_tail_check(riemann_liouville(0.5, 0.01), f, SigmaConstant(1.0),
                        0.0, grid, 5.0, t_values, problem, n_paths=500, seed=7)
+
+
+@pytest.mark.parametrize("min_count", [0, -3, 0.5])
+def test_ldp_refuses_min_count_below_one(monkeypatch, min_count):
+    # A horizon with no exceedance entered the fit as -log 0 and made the
+    # slope NaN; the call now stops before any path is drawn.
+    monkeypatch.setattr(mc, "stream", _no_stream)
+    f, problem, grid, t_values = _gaussian_tail_setup()
+    with pytest.raises(ConfigurationError, match="min_count"):
+        ldp_tail_check(riemann_liouville(0.5, 0.01), f, SigmaConstant(1.0),
+                       0.0, grid, 0.6, t_values, problem, n_paths=2000,
+                       seed=7, min_count=min_count)
+
