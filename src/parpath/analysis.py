@@ -67,7 +67,7 @@ class HolderReport:
 
 def _flat_norm(vals):
     vals = np.asarray(vals)
-    return np.sqrt(np.sum(vals.reshape(vals.shape[0], -1) ** 2, axis=1))
+    return np.sqrt((vals.reshape(vals.shape[0], -1) ** 2).sum(axis=1))
 
 
 def _holder_sweep(evaluate, exps: dict, grid: core.Grid, scheme: str) -> dict:
@@ -84,9 +84,13 @@ def _holder_sweep(evaluate, exps: dict, grid: core.Grid, scheme: str) -> dict:
     for s, t in _iter_pairs(grid.N, scheme):
         n_pairs += s.size
         gaps = nodes[t] - nodes[s]
+        scales = {}  # exponent -> gaps ** exponent, shared by its keys
         for key, vals in evaluate(s, t).items():
-            ratios = _flat_norm(vals) / gaps ** exps[key]
-            k = int(np.argmax(ratios))
+            e = exps[key]
+            if e not in scales:
+                scales[e] = gaps ** e
+            ratios = _flat_norm(vals) / scales[e]
+            k = int(ratios.argmax())
             if ratios[k] > best[key][0]:
                 best[key] = (float(ratios[k]), (int(s[k]), int(t[k])))
     return {key: HolderReport(value=val, gamma=exps[key], scheme=scheme,

@@ -44,12 +44,40 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _row_format(kinds):
+    """One ``%`` format for a row with cells of types ``kinds``, printing
+    numbers as :func:`_fmt` does; None if a cell is not a number."""
+    cells = []
+    for kind in kinds:
+        if issubclass(kind, (float, np.floating)):
+            cells.append("%.17g")
+        elif issubclass(kind, (int, np.integer)) and not issubclass(kind, bool):
+            cells.append("%d")
+        else:
+            return None
+    return ",".join(cells) + "\n"
+
+
 def _write_csv(path, header, rows) -> None:
+    """Header plus rows, as ``docs/formats.md`` describes.
+
+    A row of numbers is one ``%`` format; a row holding None, a bool or
+    text goes through the csv module, which quotes what needs it.
+    """
+    formats = {}  # cell types -> row format
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            if kinds not in formats:
+                formats[kinds] = _row_format(kinds)
+            fmt = formats[kinds]
+            if fmt is None:
+                writer.writerow([_fmt(v) for v in row])
+            else:
+                fh.write(fmt % row)
 
 
 def _write_json(path, payload) -> None:
@@ -112,8 +140,8 @@ def cmd_lift(cfg, out_dir: str, threads: int) -> int:
     run = _Run("lift", cfg, out_dir)
     grid, _, _, bundle, prp = _build_lift(cfg)
     binio.write_prp(run.path("lift.prp"), prp)
-    rows = zip(range(grid.N + 1), prp.xhat[:, 0], prp.xhat[:, 1],
-               bundle.X)
+    rows = zip(range(grid.N + 1), prp.xhat[:, 0].tolist(),
+               prp.xhat[:, 1].tolist(), bundle.X.tolist())
     _write_csv(run.path("path.csv"), ["node", "xhat1", "xhat2", "X"], rows)
     run.finish()
     return 0
@@ -230,8 +258,9 @@ def cmd_rde(cfg, out_dir: str, threads: int) -> int:
     S = rde.solve_model(grid, kernel, idxcfg, f, sigma, cfg["corr.rho"],
                         cfg["model.S0"], range(seed, seed + n_paths),
                         cell_correction=cfg["lift.cell_correction"])
-    rows = ((p, grid.nodes[q], S[p, q])
-            for p in range(n_paths) for q in range(grid.N + 1))
+    nodes = grid.nodes.tolist()
+    rows = ((p, t, state) for p, path in enumerate(S.tolist())
+            for t, state in zip(nodes, path))
     _write_csv(run.path("rde.csv"), ["path_id", "t", "S"], rows)
     run.finish()
     return 0

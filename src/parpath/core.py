@@ -340,6 +340,32 @@ class _PowerCache:
         return self._pows[0][0] if out is None else out
 
 
+class _CoefficientColumns(dict):
+    """``x^diff`` of a :class:`_PowerCache`, each built once, shaped to
+    broadcast over ``trailing`` value axes; ``diff`` must be non-zero."""
+
+    def __init__(self, xs, trailing: int):
+        super().__init__()
+        self._pows = _PowerCache(xs)
+        self._shape = (xs.shape[0],) + (1,) * trailing
+
+    def __missing__(self, diff):
+        col = self[diff] = self._pows.coefficient(diff).reshape(self._shape)
+        return col
+
+
+def _subtract_term(v, value, coef, w, term):
+    """``v -= coef * (w * value)`` in place, rounded as written, with
+    ``term`` as the scratch buffer; a unit weight multiplies exactly, so
+    it is skipped."""
+    if w == 1.0:
+        np.multiply(value, coef, out=term)
+    else:
+        np.multiply(w, value, out=term)
+        term *= coef
+    v -= term
+
+
 def level1_pairs(prp: PartialRoughPath, s, t):
     """Level-1 values over node pairs, every index of I in one pass.
 
@@ -354,14 +380,14 @@ def level1_pairs(prp: PartialRoughPath, s, t):
     """
     cfg = prp.config
     s, t = _as_pair_indices(prp, s, t)
-    pows = _PowerCache(prp.xhat[s])
+    coefs = _CoefficientColumns(prp.xhat[s], 1)
+    term = np.empty((s.size, cfg.d))
     vals = {}
     for i in cfg.I:
-        v = prp.a[i][t] - prp.a[i][s]
+        v = prp.a[i][t]
+        v -= prp.a[i][s]
         for p, diff, w in cfg._down1[i][:-1]:
-            coef = pows.coefficient(diff)
-            term = w * vals[p]
-            v = v - (term if coef is None else coef[:, None] * term)
+            _subtract_term(v, vals[p], coefs[diff], w, term)
         vals[i] = v
     return vals
 
@@ -377,19 +403,26 @@ def level2_pairs(prp: PartialRoughPath, s, t, level1):
     """
     cfg = prp.config
     s, t = _as_pair_indices(prp, s, t)
-    pows = _PowerCache(prp.xhat[s])
+    coefs = _CoefficientColumns(prp.xhat[s], 2)
+    shape = (s.size, cfg.d, cfg.d)
+    outer, term = np.empty(shape), np.empty(shape)
+    weighted = {}  # diff -> (x^diff / diff!) column of the level-1 sums
     vals = {}
     for (j, k) in cfg.J:
-        v = prp.b[(j, k)][t] - prp.b[(j, k)][s]
+        v = prp.b[(j, k)][t]
+        v -= prp.b[(j, k)][s]
         aj_s = prp.a[j][s]  # (P, d), anchored level-1 value at s
         for q, diff, w in cfg._down1[k]:
-            coef = pows.coefficient(diff)
-            outer = np.einsum("pa,pb->pab", aj_s, level1[q])
-            v = v - (w * outer if coef is None else (w * coef)[:, None, None] * outer)
+            np.einsum("pa,pb->pab", aj_s, level1[q], out=outer)
+            # (w * coef) * outer; the zero difference has w = 1 and no
+            # coefficient, so its product is outer itself.
+            if any(diff):
+                if diff not in weighted:
+                    weighted[diff] = w * coefs[diff]
+                outer *= weighted[diff]
+            v -= outer
         for pq, diff, w in cfg._down2[(j, k)][:-1]:
-            coef = pows.coefficient(diff)
-            term = w * vals[pq]
-            v = v - (term if coef is None else coef[:, None, None] * term)
+            _subtract_term(v, vals[pq], coefs[diff], w, term)
         vals[(j, k)] = v
     return vals
 

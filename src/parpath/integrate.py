@@ -82,10 +82,6 @@ def _check_partition(prp, partition):
     return part
 
 
-def _partials_at(f: VolFunction, indices, xs):
-    return {i: f.partial(i, xs) for i in indices}
-
-
 def compensated_sum_level1(prp: core.PartialRoughPath, f: VolFunction,
                            partition) -> np.ndarray:
     """First-level compensated sum over a partition, shape (d,).
@@ -99,7 +95,7 @@ def compensated_sum_level1(prp: core.PartialRoughPath, f: VolFunction,
 
 def _sum_level1(prp, f, part, x1):
     """The first-level sum on a checked partition with cell values x1."""
-    df = _partials_at(f, prp.config.I, prp.xhat[part[:-1]])
+    df = f.partials(prp.config.I, prp.xhat[part[:-1]])
     total = np.zeros(prp.config.d)
     for i in prp.config.I:
         total += df[i] @ x1[i]
@@ -130,7 +126,7 @@ def _sum_level2(prp, f, part, y1_nodes, x1):
     xs = prp.xhat[lefts]
     first_indices = {jk[0] for jk in prp.config.J}
     second_indices = {jk[1] for jk in prp.config.J}
-    df = _partials_at(f, first_indices | second_indices, xs)
+    df = f.partials(first_indices | second_indices, xs)
     y1_anchor = y1_nodes[lefts] - y1_nodes[part[0]]
     y1_cell = y1_nodes[rights] - y1_nodes[lefts]
     total = np.einsum("pa,pb->ab", y1_anchor, y1_cell)
@@ -177,7 +173,7 @@ def integral(prp: core.PartialRoughPath, f: VolFunction) -> RoughPath:
     x2c = core.level2_pairs(prp, lefts, rights, x1c)
     xs = prp.xhat[:-1]
     indices = set(cfg.I) | {jk[0] for jk in cfg.J} | {jk[1] for jk in cfg.J}
-    df = _partials_at(f, indices, xs)
+    df = f.partials(indices, xs)
     contrib1 = np.zeros((N, d))
     for i in cfg.I:
         contrib1 += df[i][:, None] * x1c[i]

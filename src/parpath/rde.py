@@ -201,7 +201,7 @@ def _step_nodes(dy1, y2_cell, sigma: SigmaFunction, s0: float,
         np.add(s0, u, out=s)
         # One reduction per node; NaN fails the comparison too, and
         # ``initial`` lets an empty batch through.
-        if not np.max(np.abs(s, out=t), initial=0.0) <= _BLOWUP_GUARD:
+        if not np.abs(s, out=t).max(initial=0.0) <= _BLOWUP_GUARD:
             bad = ~np.isfinite(u) | (np.abs(s) > _BLOWUP_GUARD)
             raise SolverError(f"state blew up at node {q + 1} "
                               f"({int(bad.sum())} of {B} paths)", last_good_index=q)

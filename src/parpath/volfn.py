@@ -26,6 +26,10 @@ class VolFunction:
     def partial(self, i, x):
         raise NotImplementedError
 
+    def partials(self, indices, x):
+        """``{i: partial(i, x)}`` for every multi-index in ``indices``."""
+        return {i: self.partial(i, x) for i in indices}
+
     def _check_points(self, x):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 0 or x.shape[-1] != self.e:
@@ -93,10 +97,18 @@ class ExponentialVol(VolFunction):
         x = self._check_points(x)
         return float(self.xi) * np.exp(x @ np.asarray(self.coeffs))
 
-    def partial(self, i, x):
+    def _scale(self, i):
+        """The constant d^i f / f = prod_l coeffs_l^(i_l)."""
         i = self._check_index(i)
         scale = 1.0
         for c, k in zip(self.coeffs, i):
             scale *= c ** k
-        return scale * self.value(x)
+        return scale
+
+    def partial(self, i, x):
+        return self._scale(i) * self.value(x)
+
+    def partials(self, indices, x):
+        fx = self.value(x)  # once, for every partial
+        return {i: self._scale(i) * fx for i in indices}
 

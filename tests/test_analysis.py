@@ -102,6 +102,64 @@ def test_holder_norm_is_the_one_key_sweep():
             assert rep == one == both[key]
 
 
+def _sweep_per_key(evaluate, exps, grid, scheme):
+    """The sweep with ``gaps ** exponent`` taken afresh for every key:
+    the reference for the scales :func:`analysis._holder_sweep` shares."""
+    nodes = grid.nodes
+    best = {key: (0.0, (0, 0)) for key in exps}
+    n_pairs = 0
+    for s, t in analysis._iter_pairs(grid.N, analysis.resolve_scheme(scheme, grid.N)):
+        n_pairs += s.size
+        gaps = nodes[t] - nodes[s]
+        for key, vals in evaluate(s, t).items():
+            flat = np.asarray(vals).reshape(s.size, -1)
+            ratios = np.sqrt(np.sum(flat ** 2, axis=1)) / gaps ** exps[key]
+            k = int(np.argmax(ratios))
+            if ratios[k] > best[key][0]:
+                best[key] = (float(ratios[k]), (int(s[k]), int(t[k])))
+    return {key: (val, arg, n_pairs) for key, (val, arg) in best.items()}
+
+
+def _sweep_summary(reports):
+    return {key: (rep.value, rep.argmax, rep.n_pairs)
+            for key, rep in reports.items()}
+
+
+@pytest.mark.parametrize("scheme", ["exhaustive", "dyadic"])
+def test_shared_scales_match_the_per_key_sweep(default_cfg, scheme):
+    prp = _walk_prp(default_cfg, 300, 17)
+    exps = {"xhat": default_cfg.beta}
+    exps.update({i: core.midx_degree(i) * default_cfg.beta + default_cfg.alpha
+                 for i in default_cfg.I})
+    exps.update({(j, k): (core.midx_degree(j) + core.midx_degree(k))
+                 * default_cfg.beta + 2.0 * default_cfg.alpha
+                 for (j, k) in default_cfg.J})
+    # Many keys share one exponent, so the scales are shared.
+    assert len(set(exps.values())) < len(exps)
+    evaluate = lambda s, t: analysis._pair_values(prp, s, t)
+    got = analysis._holder_sweep(evaluate, exps, prp.grid, scheme)
+    assert list(got) == list(exps)
+    assert _sweep_summary(got) == _sweep_per_key(evaluate, exps, prp.grid, scheme)
+    assert got == analysis._component_sweep(prp, scheme)
+
+
+@pytest.mark.parametrize("scheme", ["exhaustive", "dyadic"])
+def test_tied_ratios_keep_the_first_pair(scheme):
+    # |t - s| / (t - s)^1 is exactly 1 at every pair: the first pair of
+    # the first chunk must win, for both keys of the shared exponent.
+    grid = core.Grid(T=1.0, N=64)
+    nodes = grid.nodes
+    evaluate = lambda s, t: {"a": nodes[t] - nodes[s],
+                             "b": np.stack([nodes[t] - nodes[s],
+                                            np.zeros(s.size)], axis=1),
+                             "c": nodes[t] - nodes[s]}
+    exps = {"a": 1.0, "b": 1.0, "c": 0.5}
+    got = analysis._holder_sweep(evaluate, exps, grid, scheme)
+    assert _sweep_summary(got) == _sweep_per_key(evaluate, exps, grid, scheme)
+    assert got["a"].value == got["b"].value == 1.0
+    assert got["a"].argmax == got["b"].argmax == (0, 1)
+
+
 def test_dyadic_scheme_underestimates(default_cfg):
     prp = _walk_prp(default_cfg, 128, 21)
     evaluate = lambda s, t: prp.xhat[t] - prp.xhat[s]

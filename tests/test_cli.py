@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import importlib
+import io
 import json
 import subprocess
 import sys
@@ -70,6 +71,54 @@ def _read_csv(path):
 def _manifest(out_dir):
     with open(out_dir / "manifest.json") as fh:
         return json.load(fh)
+
+
+def _csv_module_table(header, rows):
+    """A table as the csv module writes it, cells as docs/formats.md
+    describes: the reference for :func:`cli._write_csv`'s bytes."""
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, (float, np.floating)):
+            return f"{float(value):.17g}"
+        return str(value)
+
+    with io.StringIO(newline="") as buf:
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cell(v) for v in row])
+        return buf.getvalue().encode("utf-8")
+
+
+_CSV_ROWS = [
+    (0, 1.5, -2.0),
+    (np.int64(7), np.float64(0.1), 1e16),
+    (3, float("nan"), float("inf")),
+    (-4, float("-inf"), -0.0),
+    (5, 5e-324, np.float64(-1e-300)),
+    (np.int32(-2), np.float32(0.1), 2 ** 70),
+    (1, None, 0.25),
+    (True, 1.0, np.False_),
+    (False, 2.5, 3),
+    (0.9, 0.25, "inversion failed: price above the bound, S0 = 1"),
+    (1.1, "note with \"quotes\"", "two\nlines"),
+    (2, "", "carriage\rreturn"),
+    [6, 0.5, 0.75],
+]
+
+
+def test_csv_bytes_match_the_csv_module(tmp_path):
+    header = ["a", "b, with comma", "c"]
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), header, iter(_CSV_ROWS))
+    assert path.read_bytes() == _csv_module_table(header, _CSV_ROWS)
+    text = path.read_bytes().decode("utf-8")
+    assert text.splitlines()[1:6] == [
+        "0,1.5,-2", "7,0.10000000000000001,10000000000000000",
+        "3,nan,inf", "-4,-inf,-0", "5,4.9406564584124654e-324,-1e-300"]
+    assert ",,0.25\n" in text and "True,1,False\n" in text
+    assert "False,2.5,3\n" in text
 
 
 def test_lift_outputs_and_manifest(tmp_path):

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from parpath import analysis, core
 from parpath.core import (Grid, PartialRoughPath, build_index_sets,
                           level1_pairs, level2_pairs, lift_sampled_paths,
                           reconstruct_level1, reconstruct_level2)
@@ -186,3 +187,99 @@ def test_grid_validation():
     g = Grid(T=2.0, N=4)
     assert g.delta == 0.5
     assert np.allclose(g.nodes, [0.0, 0.5, 1.0, 1.5, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# in-place pair reconstruction against the out-of-place recursion
+
+
+def _oracle_level1_pairs(prp, s, t):
+    """The graded level-1 recursion written out of place, one new array
+    per operation: the bit-level reference of :func:`level1_pairs`."""
+    cfg = prp.config
+    pows = core._PowerCache(prp.xhat[s])
+    vals = {}
+    for i in cfg.I:
+        v = prp.a[i][t] - prp.a[i][s]
+        for p, diff, w in cfg._down1[i][:-1]:
+            coef = pows.coefficient(diff)
+            term = w * vals[p]
+            v = v - (term if coef is None else coef[:, None] * term)
+        vals[i] = v
+    return vals
+
+
+def _oracle_level2_pairs(prp, s, t, level1):
+    """The level-2 recursion out of place, as :func:`_oracle_level1_pairs`."""
+    cfg = prp.config
+    pows = core._PowerCache(prp.xhat[s])
+    vals = {}
+    for (j, k) in cfg.J:
+        v = prp.b[(j, k)][t] - prp.b[(j, k)][s]
+        aj_s = prp.a[j][s]
+        for q, diff, w in cfg._down1[k]:
+            coef = pows.coefficient(diff)
+            outer = np.einsum("pa,pb->pab", aj_s, level1[q])
+            v = v - (w * outer if coef is None else (w * coef)[:, None, None] * outer)
+        for pq, diff, w in cfg._down2[(j, k)][:-1]:
+            coef = pows.coefficient(diff)
+            term = w * vals[pq]
+            v = v - (term if coef is None else coef[:, None, None] * term)
+        vals[(j, k)] = v
+    return vals
+
+
+_BIT_N = 256
+# The README example's 36 words and 15 pairs; a two-dimensional driver;
+# three smooth axes, whose level-2 pairs cross axes (j, k both non-zero).
+_BIT_CONFIGS = {"readme": (0.4, 0.08, 2, 1), "d2": (0.4, 0.1, 2, 2),
+                "cross": (0.35, 0.1, 3, 1)}
+
+
+def _bit_pairs(name):
+    N = _BIT_N
+    if name == "P0":
+        return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
+    if name == "P1":
+        return np.array([3]), np.array([200])
+    if name == "repeated":  # unsorted, with repeats and an empty pair
+        return np.array([5, 0, 5, 7, 0, 130]), np.array([9, N, 9, 7, N, 131])
+    if name == "dyadic-gap":
+        s = np.arange(0, N - 16 + 1)
+        return s, s + 16
+    s, t = next(analysis._iter_pairs(N, "exhaustive"))
+    assert s.size >= analysis._PAIR_CHUNK
+    return s, t
+
+
+@pytest.fixture(scope="module", params=sorted(_BIT_CONFIGS))
+def bit_prp(request):
+    alpha, beta, e, d = _BIT_CONFIGS[request.param]
+    cfg = build_index_sets(alpha, beta, e, d=d)
+    xhat, x = random_walk_paths(31, _BIT_N, e=e, d=d)
+    return lift_sampled_paths(xhat, x, cfg, Grid(T=1.0, N=_BIT_N),
+                              cell_correction=True)
+
+
+@pytest.mark.parametrize("pairs", ["P0", "P1", "repeated", "dyadic-gap",
+                                   "exhaustive-chunk"])
+def test_pair_values_are_the_out_of_place_bits(bit_prp, pairs):
+    s, t = _bit_pairs(pairs)
+    v1 = level1_pairs(bit_prp, s, t)
+    want1 = _oracle_level1_pairs(bit_prp, s, t)
+    assert list(v1) == list(want1) == list(bit_prp.config.I)
+    for i, v in want1.items():
+        assert v1[i].shape == v.shape and v1[i].tobytes() == v.tobytes(), i
+    v2 = level2_pairs(bit_prp, s, t, v1)
+    want2 = _oracle_level2_pairs(bit_prp, s, t, want1)
+    assert list(v2) == list(want2) == list(bit_prp.config.J)
+    for jk, v in want2.items():
+        assert v2[jk].shape == v.shape and v2[jk].tobytes() == v.tobytes(), jk
+
+
+def test_chen_report_is_unchanged_by_in_place_pairs(bit_prp, monkeypatch):
+    got = analysis.chen_defect_report(bit_prp, n_triples=500, seed=4)
+    monkeypatch.setattr(core, "level1_pairs", _oracle_level1_pairs)
+    monkeypatch.setattr(core, "level2_pairs", _oracle_level2_pairs)
+    want = analysis.chen_defect_report(bit_prp, n_triples=500, seed=4)
+    assert got == want

@@ -75,6 +75,21 @@ def test_integral_is_the_integrate_path(walk_prp):
     np.testing.assert_array_equal(out.y2, traced.y2)
 
 
+@pytest.mark.parametrize("f", [ExponentialVol(0.7, (1.3, -0.4)),
+                               ExponentialVol(1.0, (0.0, 2.5)),
+                               ConstantVol(1.7)])
+def test_partials_are_each_partial(default_cfg, f):
+    # The batch form shares f(x) across indices; each entry keeps the
+    # bits of the one-index form.
+    xs = np.random.default_rng(8).normal(size=(257, 2))
+    got = f.partials(default_cfg.I, xs)
+    assert list(got) == list(default_cfg.I)
+    for i in default_cfg.I:
+        assert got[i].tobytes() == f.partial(i, xs).tobytes(), i
+    with pytest.raises(DomainError):
+        f.partials([(0, -1)], xs)
+
+
 def test_trace_reconstructs_level1_once_per_partition(small_cfg, monkeypatch):
     # N = 64: six coarse dyadic partitions and the finest grid, one
     # level-1 reconstruction each; both sums share it.

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from parpath import core
+from parpath import core, rde
 from parpath.exceptions import ConfigurationError, DomainError, SolverError
 from parpath.integrate import RoughPath, integrate
 from parpath.lift import build_lift_quadrature, riemann_liouville, simulate_brownian
@@ -198,6 +198,69 @@ def test_batch_matches_scalar_paths():
         single = solve_rde(RdeProblem(rp, sigma, s0=0.3))
         np.testing.assert_array_equal(batch[p], single)
         np.testing.assert_array_equal(batch[p], _scalar_loop(y1[p], y2[p], sigma, 0.3))
+
+
+def _reference_step_nodes(dy1, y2_cell, sigma, s0, keep):
+    """The node-major stepping loop with the blow-up check through
+    ``np.max``: the bit-level reference of :func:`rde._step_nodes`."""
+    s0 = float(s0)
+    n_cells, B = dy1.shape
+    out = np.empty((len(keep), B))
+    u = np.zeros(B)
+    states = {0: u.copy()}
+    for q in range(n_cells):
+        s = np.add(s0, u)
+        sv = sigma.value(s)
+        d = sigma.deriv(s)
+        u = u + sv * dy1[q] + (d * sv) * y2_cell[q]
+        s = np.add(s0, u)
+        if not np.max(np.abs(s), initial=0.0) <= 1e6:
+            bad = ~np.isfinite(u) | (np.abs(s) > 1e6)
+            raise SolverError(f"state blew up at node {q + 1} "
+                              f"({int(bad.sum())} of {B} paths)", last_good_index=q)
+        states[q + 1] = u.copy()
+    for j, node in enumerate(keep):
+        out[j] = states[int(node)]
+    return out
+
+
+_STEP_SIGMAS = {
+    "constant": SigmaConstant(0.7),
+    "linear": SigmaLinear(0.1, 0.8),
+    "smooth": SigmaSmooth(np.tanh, lambda u: 1.0 / np.cosh(u) ** 2),
+}
+
+
+@pytest.mark.parametrize("B", [4, 1024])
+@pytest.mark.parametrize("family", sorted(_STEP_SIGMAS))
+def test_step_nodes_are_the_reference_bits(family, B):
+    gen = np.random.default_rng(B)
+    N = 64
+    dy1 = np.ascontiguousarray(gen.normal(size=(N, B)) * 0.1)
+    y2_cell = np.ascontiguousarray(gen.normal(size=(N, B)) * 0.01)
+    keep = [N, 3, 0, 17, 3, N, 40]  # unsorted, with repeats
+    sigma = _STEP_SIGMAS[family]
+    got = rde._step_nodes(dy1, y2_cell, sigma, 0.4, keep)
+    want = _reference_step_nodes(dy1, y2_cell, sigma, 0.4, keep)
+    assert got.shape == (len(keep), B)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("B", [4, 1024])
+def test_step_nodes_blow_up_names_the_first_node(B):
+    N = 32
+    dy1 = np.full((N, B), 0.01)
+    dy1[9:, 1::3] = 3e5  # every third path leaves the guard at node 13
+    y2_cell = np.zeros((N, B))
+    sigma = SigmaConstant(1.0)  # the state is 1 + the sum of dy1
+    with pytest.raises(SolverError) as want:
+        _reference_step_nodes(dy1, y2_cell, sigma, 1.0, [N])
+    with pytest.raises(SolverError) as got:
+        rde._step_nodes(dy1, y2_cell, sigma, 1.0, [N, 0])
+    n_bad = len(range(1, B, 3))
+    assert str(got.value) == str(want.value) == \
+        f"state blew up at node 13 ({n_bad} of {B} paths)"
+    assert got.value.last_good_index == want.value.last_good_index == 12
 
 
 # ---------------------------------------------------------------------------
