@@ -449,7 +449,10 @@ def _resolve_threads(flag_value) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves
+    it unchanged, and building it costs far more than a parse."""
     parser = argparse.ArgumentParser(
         prog="parpath",
         description="Rough-volatility pipelines over partial rough paths")

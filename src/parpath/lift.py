@@ -174,9 +174,10 @@ def _hybrid_cell_coeffs(spec: KernelSpec, delta: float):
 class _Workspace:
     """Named arrays that each thread reuses, plus values built once.
 
-    ``view(name, shape)`` returns the leading elements of the calling
-    thread's array ``name``, reallocated only when it is too small, so a
-    stage that runs block after block touches the same pages.
+    ``view(name, shape, dtype)`` returns the leading elements of the
+    calling thread's array ``name``, reallocated only when it is too
+    small or of another dtype, so a stage that runs block after block
+    touches the same pages.
     ``once(key, build)`` keeps one value per key for every thread; keys
     name their inputs, and the values are only read.  Make one
     workspace per engine call and pass it down: nothing outlives the
@@ -192,7 +193,7 @@ class _Workspace:
         arrays = self._local.__dict__
         size = math.prod(shape)
         arr = arrays.get(name)
-        if arr is None or arr.size < size:
+        if arr is None or arr.size < size or arr.dtype != dtype:
             arr = arrays[name] = np.empty(size, dtype)
         return arr[:size].reshape(shape)
 

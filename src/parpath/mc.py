@@ -11,20 +11,22 @@ order: dW, the independent part of X, then the touching-cell normals.
 Only the Volterra convolution reads the third block, and not always:
 constant f never reads the driver, so the convolution is skipped, and
 a constant kernel (H = 1/2) makes it const * W.  Such a chunk stops
-its draw after the second block.  The stream fills the block in order,
-so the first two are the same bits either way and no sample changes.
+its draw after the second block.  Otherwise the third block is drawn
+row block by row block, as the convolution reads it.  The stream fills
+the block in order and float64 normals carry no state between draws,
+so the rows come out with the bits of one whole draw either way.
 
 Every engine hands its per-chunk stage to :func:`_run_chunks`, the one
 place that plans the chunks, checks their working set, makes the
 call's workspace, draws each chunk into it and dispatches the chunks.
 The workspace (:class:`parpath.lift._Workspace`) gives every worker
 thread its own named arrays for the length of the call: the chunk's
-normal draw, the FFT's padded rows, spectrum and inverse, the driver
-and the level arrays.  The normals are drawn once
-per chunk; convolution, vol function and cumulative levels then run on
-row blocks of 64 paths in the same arrays, so a block allocates little
-and faults in no fresh pages, however large the chunk.  Every stage is
-row-wise, so blocking changes no bit.  The convolution weights and the
+dW and X normals, one row block of touching-cell normals, the FFT's
+padded rows, spectrum and inverse, the driver and the level arrays.
+Convolution, vol function and cumulative levels run on row blocks of
+16 paths in the same arrays, so a block allocates little and faults in
+no fresh pages, however large the chunk.  Every stage is row-wise, so
+blocking changes no bit.  The convolution weights and the
 kernel's spectrum are computed once per call, not once per block.
 Constant sigma telescopes to the first level and the second level is
 never formed.  Any other sigma writes each block's cell increments of
@@ -64,13 +66,15 @@ from .rng import stream
 from .volfn import ConstantVol, VolFunction
 
 DEFAULT_CHUNK = 1024
-# Paths per row block inside a chunk: one block's (64, N) arrays are
-# 2 MB at N = 4096, where a whole chunk's are 33 MB each.
-_ROW_BLOCK = 64
+# Paths per row block inside a chunk: one block's (16, N) arrays are
+# 0.5 MB at N = 4096, where a whole chunk's are 33 MB each.  Every stage
+# before the stepper is row-wise, so the block size changes no bit.
+_ROW_BLOCK = 16
 # Arrays of one row block, in rows of N floats: the driver (2), the
 # convolution and its touching cells (2), the FFT's pad, spectrum and
 # inverse (about 6), levels and temporaries (6); stepping adds the
-# second level, its cells and the block's increments (5).
+# second level, its cells and the block's increments (5).  The block's
+# touching-cell normals are one row more.
 _BLOCK_ROWS = 16
 _STEPPED_BLOCK_ROWS = 5
 
@@ -88,9 +92,10 @@ def _chunk_plan(n_paths: int, chunk: int, N: int, threads: int, aux: bool,
     """(chunk id, path count) pairs covering [0, n_paths).
 
     Checks first that the workspaces of the threads that will run fit
-    in physical memory.  Each holds the chunk's (3, count, N) draw, or
-    (2, count, N) without ``aux``; the row block's arrays; and, when
-    the engine is ``stepped``, the (2, N, count) cell increments.
+    in physical memory.  Each holds the chunk's (2, count, N) draw of
+    dW and X normals; the row block's arrays, with one row block of
+    touching-cell normals when ``aux``; and, when the engine is
+    ``stepped``, the (2, N, count) cell increments.
     """
     if n_paths < 1:
         raise ConfigurationError(f"need at least one path, got {n_paths}")
@@ -100,8 +105,8 @@ def _chunk_plan(n_paths: int, chunk: int, N: int, threads: int, aux: bool,
         raise ConfigurationError(f"need at least one thread, got {threads}")
     count = min(chunk, n_paths)
     rows = _BLOCK_ROWS + (_STEPPED_BLOCK_ROWS if stepped else 0)
-    per_thread = 8 * (N + 1) * ((2 + aux + 2 * stepped) * count
-                                + rows * min(count, _ROW_BLOCK))
+    per_thread = 8 * (N + 1) * ((2 + 2 * stepped) * count
+                                + (rows + aux) * min(count, _ROW_BLOCK))
     workers = min(threads, -(-n_paths // chunk))
     memory = _physical_memory()
     if memory is not None and workers * per_thread > memory:
@@ -130,18 +135,18 @@ def _run_chunks(stage, grid: core.Grid, seed: int, rho: float, n_paths: int,
 
     The one place where an engine plans, guards, draws and dispatches
     its chunks, so the guard counts what the chunks hold: ``aux`` says
-    whether the draw makes its third row (``normals`` is None without
+    whether the chunk reads its third row (``normals`` is None without
     it), ``stepped`` whether the stage holds node-major cell
-    increments.  ``work`` is the call's workspace, and ``dW``, ``dX``
-    and ``normals`` are views of its draw.
+    increments.  ``work`` is the call's workspace; ``dW`` and ``dX``
+    are views of its draw, and ``normals`` a :class:`_RowSource` that
+    draws the third row into it block by block.
     """
     plan = _chunk_plan(n_paths, chunk, grid.N, threads, aux, stepped)
     work = _Workspace()
 
     def worker(cid, count):
-        dW, dX, normals = _draw_increments(
-            seed, cid, count, grid, rho, with_aux=aux,
-            out=work.view("draw", (2 + aux, count, grid.N)))
+        dW, dX, normals = _draw_increments(seed, cid, count, grid, rho,
+                                           work, with_aux=aux)
         return stage(count, dW, dX, normals, work)
 
     return _dispatch(worker, plan, threads)
@@ -153,18 +158,49 @@ def _row_blocks(count: int):
             for lo in range(0, count, _ROW_BLOCK)]
 
 
+class _RowSource:
+    """A chunk's touching-cell normals, drawn row block by row block.
+
+    ``source[rows]`` draws the next rows of the (count, N) third row of
+    the chunk's draw from its generator into ``work`` and returns them,
+    a view that the next read overwrites.  The stream fills the draw in
+    order, so the rows have the bits of one whole draw only if each
+    read starts where the last one stopped: a skipped or repeated row
+    raises :class:`IndexError`.
+    """
+
+    def __init__(self, gen, count: int, N: int, work: _Workspace):
+        self._gen, self._count, self._N, self._work = gen, count, N, work
+        self._next = 0
+
+    def __getitem__(self, rows):
+        start, stop, step = (rows.indices(self._count)
+                             if isinstance(rows, slice) else (-1, -1, 0))
+        if step != 1 or start != self._next or stop <= start:
+            raise IndexError(
+                f"touching-cell normals are drawn in order: expected rows "
+                f"from {self._next} of {self._count}, got {rows!r}")
+        block = self._work.view("aux", (stop - start, self._N))
+        self._gen.standard_normal(block.shape, out=block)
+        self._next = stop
+        return block
+
+
 def _draw_increments(seed: int, chunk_id: int, count: int, grid: core.Grid,
-                     rho: float, out=None, with_aux: bool = True):
+                     rho: float, work: _Workspace | None = None,
+                     with_aux: bool = True):
     """(dW, dX, aux) for one chunk, from the chunk's own stream.
 
-    The three are the rows of one (3, count, N) normal draw, scaled in
-    place; ``out`` is storage for that draw (default: a new array).
-    With ``with_aux`` false the draw stops after the second row: it is
-    (2, count, N), ``out`` must have that shape, and aux is None.  The
-    stream fills the draw in order, so dW and dX keep their bits.
+    dW and dX are the first two rows of the chunk's (3, count, N)
+    normal draw, drawn into ``work`` (default: a fresh workspace) and
+    scaled in place.  aux is a :class:`_RowSource` over the third row,
+    which draws it as it is read, or None with ``with_aux`` false.  The
+    stream fills the draw in order, so every row keeps its bits.
     """
+    work = _Workspace() if work is None else work
     gen = stream(seed, "mc", chunk_id)
-    draw = gen.standard_normal((2 + with_aux, count, grid.N), out=out)
+    draw = gen.standard_normal((2, count, grid.N),
+                               out=work.view("draw", (2, count, grid.N)))
     dW, dX = draw[0], draw[1]
     sq = math.sqrt(grid.delta)
     perp = math.sqrt(max(0.0, 1.0 - rho ** 2))
@@ -175,7 +211,7 @@ def _draw_increments(seed: int, chunk_id: int, count: int, grid: core.Grid,
         x *= sq
         x *= perp
         x += rho * w
-    return dW, dX, draw[2] if with_aux else None
+    return dW, dX, _RowSource(gen, count, grid.N, work) if with_aux else None
 
 
 def _reads_aux(kernel: KernelSpec, f: VolFunction | None = None) -> bool:
@@ -193,8 +229,9 @@ def _reads_aux(kernel: KernelSpec, f: VolFunction | None = None) -> bool:
 def _driver_xhat(dW, aux, rows, kernel: KernelSpec, grid: core.Grid,
                  work: _Workspace) -> np.ndarray:
     """Smooth component (B, N+1, 2) of the chunk rows ``rows``: the
-    convolution path and t^zeta.  ``aux`` may be None where
-    :func:`_reads_aux` says it is not read.
+    convolution path and t^zeta.  ``aux`` (the chunk's
+    :class:`_RowSource`) is read once per call, in ascending rows; it
+    may be None where :func:`_reads_aux` says it is not read.
 
     The result is a view into ``work`` that the next call overwrites.
     """

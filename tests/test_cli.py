@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line driver (in-process)."""
 
+import argparse
 import csv
 import hashlib
 import importlib
@@ -145,6 +146,36 @@ def test_lift_outputs_and_manifest(tmp_path):
 
     prp = binio.read_prp(str(out / "lift.prp"))
     assert prp.grid.N == 64
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    # The parser is built on the first call and reused: one parser and
+    # its subparsers for any number of calls, with the exit codes, files
+    # and messages of a fresh build.
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cfg = _cfg(tmp_path, SMALL_LIFT)
+    for name in ("a", "b"):
+        assert main(["lift", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "a" / "path.csv").read_bytes() == \
+        (tmp_path / "b" / "path.csv").read_bytes()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(["lift", "--out", str(tmp_path / "c")])
+        assert info.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "--config" in errors[0]
+    assert len(built) == 1 + len(cli._COMMANDS)
+    assert cli.build_parser().format_help() == \
+        cli.build_parser.__wrapped__().format_help()
 
 
 def test_reruns_differ_only_in_runtime(tmp_path):

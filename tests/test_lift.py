@@ -210,6 +210,19 @@ def test_next_fast_len_is_scipys():
         [scipy.fft.next_fast_len(n) for n in sizes]
 
 
+def test_workspace_view_reallocates_for_another_dtype():
+    work = _Workspace()
+    work.view("a", (4, 3))
+    spec = work.view("a", (2, 3), np.complex128)  # fits in 12 float64s
+    assert spec.dtype == np.complex128 and spec.shape == (2, 3)
+    again = work.view("a", (4, 3))
+    assert again.dtype == np.float64 and again.shape == (4, 3)
+    ints = work.view("a", (5,), np.int64)
+    assert ints.dtype == np.int64
+    # Same dtype and room enough: the array is reused.
+    assert work.view("a", (2,), np.int64).base is ints.base
+
+
 def test_reused_workspace_gives_fresh_array_bits():
     # Blocks of different widths share one workspace, as the MC engine's
     # row blocks do; each must equal a call on fresh arrays.

@@ -116,8 +116,8 @@ def _replay_state(kernel, f, sigma, rho, s0, grid, n_paths, seed, chunk):
     return np.concatenate(S), np.concatenate(X)
 
 
-# N > 512 takes the FFT convolution; 250 paths in chunks of 100 give row
-# blocks of 64 + 36, 64 + 36 and 50 paths.
+# N > 512 takes the FFT convolution; 250 paths in chunks of 100 give six
+# row blocks of 16 and one of 4 per full chunk, and 3 x 16 + 2 in the last.
 _BLOCKED = (core.Grid(T=1.0, N=1024), 250, 100, 13)  # grid, n_paths, chunk, seed
 
 
@@ -327,8 +327,8 @@ def _guard_threshold(monkeypatch, run):
 
 def test_working_set_guard_counts_the_rows_drawn(monkeypatch):
     # Constant f draws two rows of normals per path, ExponentialVol at
-    # H = 0.3 three; with memory between the two estimates only the
-    # first may run.
+    # H = 0.3 also one row block of touching-cell normals at a time;
+    # with memory between the two estimates only the first may run.
     kernel = riemann_liouville(0.3, 0.01)
     grid, count = core.Grid(T=1.0, N=64), 40
 
@@ -338,7 +338,8 @@ def test_working_set_guard_counts_the_rows_drawn(monkeypatch):
 
     two = _guard_threshold(monkeypatch, lambda: run(ConstantVol(0.2)))
     three = _guard_threshold(monkeypatch, lambda: run(_EXP_F))
-    assert three - two == 8 * (grid.N + 1) * count  # one (count, N+1) row
+    # One (block, N+1) row.
+    assert three - two == 8 * (grid.N + 1) * min(count, mc._ROW_BLOCK)
 
     streams = []
 
@@ -353,6 +354,22 @@ def test_working_set_guard_counts_the_rows_drawn(monkeypatch):
     with pytest.raises(ConfigurationError, match="physical memory"):
         run(_EXP_F)
     assert len(streams) == 1
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_working_set_estimate_at_the_tail_rough_config(monkeypatch, threads):
+    # The tail check of the acceptance suite and the benchmark: 1024-path
+    # chunks at N = 4096, constant sigma, the touching-cell normals read.
+    # Per thread, 8 (N+1) (2 * 1024 + (16 + 1) * 16) bytes: 72.5 MiB.
+    f = ExponentialVol(1.0, (1.0, 0.0))
+    T = 4e-3
+    problem = RateProblem(f, 1.0, -0.7, 0.3, K=64, restarts=8, seed=0,
+                          z_grid=(0.3,))
+    t_values = T * np.array([256, 512, 1024, 2048, 4096]) / 4096.0
+    estimate = _guard_threshold(monkeypatch, lambda: ldp_tail_check(
+        _H_ROUGH, f, SigmaConstant(1.0), -0.7, core.Grid(T=T, N=4096), 0.3,
+        t_values, problem, n_paths=1 << 15, seed=7, threads=threads))
+    assert estimate == threads * 76_040_320
 
 
 def _holding_workspace(held):
@@ -414,7 +431,8 @@ def test_working_set_estimate_bounds_what_the_workspace_holds(monkeypatch,
 def test_two_row_draw_is_the_prefix_of_the_three_row_draw():
     # The stream fills a draw in order, so stopping after two rows
     # leaves dW and dX with their bits, at odd shapes and inside a
-    # larger workspace buffer.
+    # larger workspace buffer; the third row, drawn block by block as
+    # it is read, has the bits of the whole draw.
     n, N = 37, 1000
     three = stream(5, "mc", 3).standard_normal((3, n, N))
     work = _Workspace()
@@ -425,11 +443,60 @@ def test_two_row_draw_is_the_prefix_of_the_three_row_draw():
 
     grid = core.Grid(T=1.0, N=N)
     dW3, dX3, aux3 = mc._draw_increments(5, 3, n, grid, -0.7)
-    dW2, dX2, aux2 = mc._draw_increments(5, 3, n, grid, -0.7, with_aux=False,
-                                         out=work.view("draw", (2, n, N)))
+    dW2, dX2, aux2 = mc._draw_increments(5, 3, n, grid, -0.7, work,
+                                         with_aux=False)
     np.testing.assert_array_equal(dW2, dW3)
     np.testing.assert_array_equal(dX2, dX3)
-    assert aux3.shape == (n, N) and aux2 is None
+    assert aux2 is None
+    for rows in (slice(0, 16), slice(16, 32), slice(32, n)):
+        np.testing.assert_array_equal(aux3[rows], three[2][rows])
+
+
+def test_touching_cell_rows_must_be_read_in_order():
+    grid = core.Grid(T=1.0, N=64)
+    _, _, aux = mc._draw_increments(5, 3, 37, grid, -0.7)
+    first = aux[0:16].copy()
+    for rows in (slice(0, 16), slice(32, 37), slice(16, 37, 2), slice(16, 16),
+                 3, (slice(16, 32),)):
+        with pytest.raises(IndexError, match="drawn in order"):
+            aux[rows]
+    # A refused read draws nothing: the next block still follows on.
+    three = stream(5, "mc", 3).standard_normal((3, 37, grid.N))
+    np.testing.assert_array_equal(first, three[2][:16])
+    np.testing.assert_array_equal(aux[16:37], three[2][16:])
+    with pytest.raises(IndexError, match="drawn in order"):
+        aux[36:37]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("engine", ["state", "moments", "ito"])
+def test_touching_cell_blocks_are_the_whole_third_row(monkeypatch, engine,
+                                                      threads):
+    # Every row the convolution reads equals the third row of the
+    # chunk's whole (3, count, N) draw.  37 paths in chunks of 20 end
+    # each chunk on a partial row block (16 + 4, 16 + 1), and ito reads
+    # one row at a time.  Rows are matched by their dW bits, which the
+    # engine scales in place as the replay does.
+    grid, n_paths, chunk, seed = core.Grid(T=1.0, N=64), 37, 20, 1
+    expected = {}
+    for cid, start in enumerate(range(0, n_paths, chunk)):
+        count = min(chunk, n_paths - start)
+        norms = stream(seed, "mc", cid).standard_normal((3, count, grid.N))
+        norms[0] *= math.sqrt(grid.delta)
+        for dw, aux in zip(norms[0], norms[2]):
+            expected[dw.tobytes()] = aux
+    seen = []
+    real = mc.volterra_convolve_batch
+
+    def recording(dW, aux, *args, **kwargs):
+        for dw, row in zip(dW, aux):
+            seen.append(dw.tobytes())
+            np.testing.assert_array_equal(row, expected[dw.tobytes()])
+        return real(dW, aux, *args, **kwargs)
+
+    monkeypatch.setattr(mc, "volterra_convolve_batch", recording)
+    _engine_runs(grid, n_paths, chunk, threads)[engine]()
+    assert sorted(seen) == sorted(expected)
 
 
 _H_HALF = riemann_liouville(0.5, 0.01)
@@ -462,19 +529,26 @@ _H_ROUGH = riemann_liouville(0.3, 0.01)
         "price-constant-f", "moments-H-half", "moments-H-rough", "ito-H-half",
         "ito-H-rough", "rde-convergence"])
 def test_chunks_draw_only_the_rows_they_read(monkeypatch, run, expected):
-    rows = []
+    # Each stream's first draw is the (2, count, N) dW and X normals;
+    # over the chunk it draws rows * count * N normals in all.
+    streams = []
 
     class Recording:
         def __init__(self, gen):
-            self.gen = gen
+            self.gen, self.first, self.normals = gen, None, 0
+            streams.append(self)
 
         def standard_normal(self, size, out=None):
-            rows.append(size[0])
+            self.first = self.first or size
+            self.normals += math.prod(size)
             return self.gen.standard_normal(size, out=out)
 
     monkeypatch.setattr(mc, "stream", lambda *args: Recording(stream(*args)))
     run()
-    assert rows and set(rows) == {expected}
+    assert streams
+    for rec in streams:
+        _, count, N = rec.first
+        assert rec.normals == expected * count * N
 
 
 @pytest.mark.parametrize("sigma", [SigmaConstant(0.7), SigmaLinear(0.1, 0.5)],
