@@ -23,12 +23,12 @@ from .integrate import (BoundConstants, ConvergenceTrace, RoughPath,
                         distance_alpha, estimate_deriv_bound, integral,
                         integrate, lipschitz_ratio, theoretical_bounds)
 from .lift import (BrownianBundle, KernelSpec, build_lift,
-                   build_lift_quadrature, kernel_eval, riemann_liouville,
-                   simulate_brownian, volterra_convolve)
+                   build_lift_quadrature, riemann_liouville, simulate_brownian,
+                   volterra_convolve)
 from .mc import (ito_consistency_check, ldp_tail_check, moment_scaling_check,
                  price_and_implied_vol, rde_convergence_check, simulate_state)
-from .rate import (RateProblem, RateSolution, kh_convolve, minimize_rate,
-                   optimality_report, rate_objective, smile_curve)
+from .rate import (RateProblem, RateSolution, minimize_rate, optimality_report,
+                   rate_objective, smile_curve)
 from .rde import (RdeProblem, SigmaConstant, SigmaFunction, SigmaLinear,
                   SigmaSmooth, solve_model, solve_rde, solve_rde_batch)
 from .volfn import ConstantVol, ExponentialVol, VolFunction

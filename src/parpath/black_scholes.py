@@ -10,6 +10,7 @@ from .exceptions import DomainError, NumericalError
 
 _VOL_LO = 1e-4
 _VOL_HI = 5.0
+_VOL_TOL = 1e-8  # bracket width at which the bisection stops
 
 
 def call_price(spot, strike, maturity, vol):
@@ -30,9 +31,9 @@ def call_price(spot, strike, maturity, vol):
     return float(out) if out.ndim == 0 else out
 
 
-def implied_vol(price: float, spot: float, strike: float, maturity: float,
-                tol: float = 1e-8) -> float:
-    """Invert the call price by bisection on [1e-4, 5].
+def implied_vol(price: float, spot: float, strike: float,
+                maturity: float) -> float:
+    """Invert the call price by bisection on [1e-4, 5], to 1e-8.
 
     Raises :class:`NumericalError` when the price violates static
     bounds or the bracket does not contain the root.
@@ -42,7 +43,7 @@ def implied_vol(price: float, spot: float, strike: float, maturity: float,
     if not intrinsic < price < spot:
         raise NumericalError(
             f"price {price} outside the arbitrage bounds ({intrinsic}, {spot})")
-    lo, hi = _VOL_LO, _VOL_HI
+    lo, hi, tol = _VOL_LO, _VOL_HI, _VOL_TOL
     f_lo = call_price(spot, strike, maturity, lo) - price
     f_hi = call_price(spot, strike, maturity, hi) - price
     if f_lo > 0.0 or f_hi < 0.0:

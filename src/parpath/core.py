@@ -121,7 +121,6 @@ class IndexConfig:
     def __post_init__(self):
         # Plain attributes, so dataclass eq/hash stay based on the
         # declared fields only.
-        object.__setattr__(self, "zero", (0,) * self.e)
         object.__setattr__(self, "_i_set", frozenset(self.I))
         object.__setattr__(self, "_j_set", frozenset(self.J))
 

@@ -80,14 +80,6 @@ class KernelSpec:
 riemann_liouville = KernelSpec.riemann_liouville
 
 
-def kernel_eval(spec: KernelSpec, t):
-    """kappa(t) for t > 0 (vectorized)."""
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t <= 0.0):
-        raise DomainError("kernel is defined for t > 0 only")
-    return spec.const * t ** spec.eta
-
-
 def kernel_antideriv(spec: KernelSpec, t):
     """F(t) = int_0^t kappa(u) du."""
     t = np.asarray(t, dtype=np.float64)

@@ -61,11 +61,14 @@ from .exceptions import ConfigurationError, InsufficientDataError, NumericalErro
 from .integrate import compensated_sum_level1
 from .lift import KernelSpec, _Workspace, volterra_convolve_batch
 from .rate import RateProblem, minimize_rate
-from .rde import SigmaConstant, SigmaFunction, SigmaLinear, _step_nodes
+from .rde import (SigmaConstant, SigmaFunction, SigmaLinear, _cell_increments,
+                  _step_nodes)
 from .rng import stream
 from .volfn import ConstantVol, VolFunction
 
 DEFAULT_CHUNK = 1024
+MOMENTS_TOL = 0.05  # largest slope deviation that passes the moments check
+ITO_MAX_RATIO = 0.5  # largest RMS ratio that passes the ito check
 # Paths per row block inside a chunk: one block's (16, N) arrays are
 # 0.5 MB at N = 4096, where a whole chunk's are 33 MB each.  Every stage
 # before the stepper is row-wise, so the block size changes no bit.
@@ -139,8 +142,11 @@ def _run_chunks(stage, grid: core.Grid, seed: int, rho: float, n_paths: int,
     it), ``stepped`` whether the stage holds node-major cell
     increments.  ``work`` is the call's workspace; ``dW`` and ``dX``
     are views of its draw, and ``normals`` a :class:`_RowSource` that
-    draws the third row into it block by block.
+    draws the third row into it block by block.  A ``rho`` outside
+    [-1, 1] (or NaN) raises :class:`ConfigurationError` before any draw.
     """
+    if not -1.0 <= rho <= 1.0:
+        raise ConfigurationError(f"rho must lie in [-1, 1], got {rho}")
     plan = _chunk_plan(n_paths, chunk, grid.N, threads, aux, stepped)
     work = _Workspace()
 
@@ -280,22 +286,6 @@ def _state_from_levels(y1, sigma: SigmaConstant, s0: float):
     return s0 + sigma.c * y1
 
 
-def _cell_increments(y1, y2, dy1, y2_cell, work: _Workspace):
-    """Write a block's cell increments, node-major, into (N, B) views.
-
-    ``dy1`` gets ``np.diff(y1)`` and ``y2_cell`` gets
-    ``np.diff(y2) - y1[:, :-1] * np.diff(y1)``, transposed, with the
-    bits of those whole-array formulas.
-    """
-    B, N = y1.shape[0], y1.shape[1] - 1
-    d1 = np.subtract(y1[:, 1:], y1[:, :-1], out=work.view("d1", (B, N)))
-    dy1[...] = d1.T
-    d2 = np.subtract(y2[:, 1:], y2[:, :-1], out=work.view("d2", (B, N)))
-    d1 *= y1[:, :-1]
-    d2 -= d1
-    y2_cell[...] = d2.T
-
-
 def _run_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
                rho: float, s0: float, grid: core.Grid, snaps, seed: int,
                cell_correction: bool, n_paths: int, chunk: int, threads: int,
@@ -400,13 +390,12 @@ class MomentScalingReport:
 def moment_scaling_check(kernel: KernelSpec, grid: core.Grid, rho: float,
                          n_paths: int, seed: int, indices=None, t_nodes=None,
                          threads: int = 1, chunk: int = DEFAULT_CHUNK,
-                         tol: float = 0.05) -> MomentScalingReport:
+                         ) -> MomentScalingReport:
     """Regress log E|level-1 value|^2 against log t for small indices.
 
     Every index scales like ``t^(2 |i| zeta + 1)`` up to the kernel's
-    regularity gap, so the measured slope must sit within ``tol`` of
-    that exponent.  Indices are pairs (power of the convolution path,
-    power of t^zeta).
+    regularity gap: a measured slope passes within MOMENTS_TOL of it.
+    Indices are pairs (power of the convolution path, power of t^zeta).
     """
     if indices is None:
         indices = ((0, 0), (1, 0), (0, 1))
@@ -458,7 +447,7 @@ def moment_scaling_check(kernel: KernelSpec, grid: core.Grid, rho: float,
     return MomentScalingReport(indices=indices, slopes=slopes, expected=expected,
                                deviations=deviations, t_values=t_vals,
                                mean_squares=mean_squares, n_paths=n_paths,
-                               seed=seed, tol=tol)
+                               seed=seed, tol=MOMENTS_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +462,8 @@ class ItoConsistencyReport:
     n_paths: int
     seed: int
 
-    def passed(self, max_ratio: float = 0.5) -> bool:
-        return self.ratio <= max_ratio
+    def passed(self) -> bool:
+        return self.ratio <= ITO_MAX_RATIO
 
 
 def ito_consistency_check(kernel: KernelSpec, config: core.IndexConfig,
@@ -618,26 +607,25 @@ class RdeConvergenceReport:
     seed: int
 
 
-def rde_convergence_check(sigma: SigmaFunction, f: VolFunction,
-                          kernel: KernelSpec, rho: float, s0: float,
-                          n_coarse: int, n_paths: int, seed: int, T: float = 1.0,
+def rde_convergence_check(sigma: SigmaFunction, f: VolFunction, rho: float,
+                          s0: float, n_coarse: int, n_paths: int, seed: int,
                           threads: int = 1, chunk: int = DEFAULT_CHUNK,
                           ) -> RdeConvergenceReport:
     """Strong error of the stepping scheme against exponential dynamics.
 
-    Requires constant f and ``sigma(s) = b s``, for which the state is
-    ``s0 * exp(m X_T - m^2 T / 2)`` with ``m = b f``.  Both resolutions
-    (n_coarse and 2 n_coarse cells) consume the same Brownian
-    increments (the coarse grid sums adjacent fine cells), so the
-    reported halving ratio is nearly noise-free.
+    Requires constant f and ``sigma(s) = b s``, for which the state at
+    T = 1 is ``s0 * exp(m X_1 - m^2 / 2)`` with ``m = b f``.  Both
+    resolutions (n_coarse and 2 n_coarse cells of [0, 1]) consume the
+    same Brownian increments (the coarse grid sums adjacent fine
+    cells), so the reported halving ratio is nearly noise-free.
     """
     if not (isinstance(f, ConstantVol) and isinstance(sigma, SigmaLinear)
             and sigma.a == 0.0):
         raise ConfigurationError(
             "benchmark needs constant f and sigma(s) = b s (closed-form solution)")
     m = sigma.b * f.c
-    fine = core.Grid(T=T, N=2 * n_coarse)
-    coarse = core.Grid(T=T, N=n_coarse)
+    fine = core.Grid(T=1.0, N=2 * n_coarse)
+    coarse = core.Grid(T=1.0, N=n_coarse)
 
     def stage(count, dW, dX, normals, work):
         out = np.empty((count, 2))
@@ -655,13 +643,12 @@ def rde_convergence_check(sigma: SigmaFunction, f: VolFunction,
                 _cell_increments(y1, y2, dy1[:, rows], y2_cell[:, rows], work)
                 X_T[rows] = np.sum(inc, axis=1)
             S = s0 + _step_nodes(dy1, y2_cell, sigma, s0, [g.N])[0]
-            exact = s0 * np.exp(m * X_T - 0.5 * m ** 2 * T)
+            exact = s0 * np.exp(m * X_T - 0.5 * m ** 2)
             out[:, res] = (S - exact) / exact
         return out
 
     rel = np.concatenate(_run_chunks(stage, fine, seed, rho, n_paths, chunk,
-                                     threads, _reads_aux(kernel, f),
-                                     stepped=True))
+                                     threads, aux=False, stepped=True))
     rms = {n_coarse: float(np.sqrt(np.mean(rel[:, 0] ** 2))),
            2 * n_coarse: float(np.sqrt(np.mean(rel[:, 1] ** 2)))}
     return RdeConvergenceReport(n_cells=(n_coarse, 2 * n_coarse), rms=rms,

@@ -29,6 +29,7 @@ from .rng import stream
 from .volfn import VolFunction
 
 _F_FLOOR = 1e-12
+_GRAD_TOL = 1e-8  # a minimum needs gradient residual <= _GRAD_TOL * (1 + |F|)
 
 
 @lru_cache(maxsize=64)
@@ -48,22 +49,12 @@ def _kh_matrix(H: float, K: int) -> np.ndarray:
     return scale * (lo ** p - hi ** p)
 
 
-def kh_convolve(g, H: float) -> np.ndarray:
-    """Midpoint values of the kernel convolution of a piecewise-constant g."""
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 1 or g.size < 1:
-        raise DomainError("g must be a non-empty vector")
-    if not (0.0 < H <= 0.5):
-        raise ConfigurationError(f"H must lie in (0, 1/2], got {H}")
-    return _kh_matrix(float(H), g.size) @ g
-
-
 @dataclasses.dataclass(frozen=True)
 class RateProblem:
     """Inputs of the variational problem (f evaluated as f(v, 0, ...)).
 
-    ``z_grid`` is the default sweep used by :func:`smile_curve`; it may
-    stay empty when only single-z solves are wanted.
+    ``z_grid`` is the sweep of :func:`smile_curve`; it may stay empty
+    when only single-z solves are wanted.
     """
 
     f: VolFunction
@@ -146,13 +137,13 @@ class RateSolution:
     starts_tried: int
 
 
-def minimize_rate(z: float, problem: RateProblem, tol: float = 1e-8) -> RateSolution:
+def minimize_rate(z: float, problem: RateProblem) -> RateSolution:
     """Minimize the rate objective from deterministic multistarts.
 
     Start 0 is the zero control (exact minimizer in the constant-f
     case); the rest are Gaussian draws from the stream keyed by
     (seed, "rate-start", start index, z).  The best minimum is polished
-    until the gradient residual drops below ``tol * (1 + |F|)``; if it
+    until the gradient residual drops below ``1e-8 * (1 + |F|)``; if it
     never does, the solve raises :class:`NumericalError` rather than
     returning an uncertified value.
     """
@@ -183,14 +174,14 @@ def minimize_rate(z: float, problem: RateProblem, tol: float = 1e-8) -> RateSolu
     x = best.x
     value, grad_norm = residual(x)
     for _ in range(3):
-        if grad_norm <= tol * (1.0 + abs(value)):
+        if grad_norm <= _GRAD_TOL * (1.0 + abs(value)):
             break
         res = minimize(fg, x, jac=True, method="L-BFGS-B", options=opts)
         iterations += int(res.nit)
         if res.fun <= value:
             x = res.x
             value, grad_norm = residual(x)
-    if grad_norm > tol * (1.0 + abs(value)):
+    if grad_norm > _GRAD_TOL * (1.0 + abs(value)):
         raise NumericalError(
             f"rate minimization stalled at z = {z:g}: best value {value:.6g}, "
             f"gradient residual {grad_norm:.3g} after {problem.restarts} starts "
@@ -241,8 +232,8 @@ class SmilePoint:
     grad_norm: float
 
 
-def smile_curve(problem: RateProblem, z_grid=None) -> tuple:
-    """Rate values over a log-strike grid, with the smile transform.
+def smile_curve(problem: RateProblem) -> tuple:
+    """Rate values over ``problem.z_grid``, with the smile transform.
 
     ``sigma_asym = |z| / sqrt(2 F(z))`` converts the rate into the
     short-horizon implied-volatility level.  The conversion is supplied
@@ -250,9 +241,7 @@ def smile_curve(problem: RateProblem, z_grid=None) -> tuple:
     the transform is undefined and the entry is None.  Constant f must
     produce a flat curve at ``sigma0 * f``.
     """
-    if z_grid is None:
-        z_grid = problem.z_grid
-    z_grid = np.asarray(z_grid, dtype=np.float64)
+    z_grid = np.asarray(problem.z_grid, dtype=np.float64)
     if z_grid.size == 0:
         raise ConfigurationError("smile_curve needs a non-empty z grid")
     out = []

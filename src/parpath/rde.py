@@ -23,6 +23,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, DomainError, SolverError
 from .integrate import RoughPath, integral
+from .lift import _Workspace
 
 _BLOWUP_GUARD = 1e6
 
@@ -158,13 +159,26 @@ def solve_rde_batch(y1, y2, sigma: SigmaFunction, s0: float) -> np.ndarray:
     y2 = np.asarray(y2, dtype=np.float64)
     if y1.shape != y2.shape or y1.ndim != 2:
         raise DomainError("y1 and y2 must be equal-shape (B, N+1) arrays")
-    # Node-major (N, B) copies: each step reads contiguous rows instead
-    # of strided columns.
-    dy1 = np.ascontiguousarray(np.diff(y1, axis=1).T)
-    y2_cell = np.diff(y2, axis=1)
-    y2_cell -= y1[:, :-1] * dy1.T
-    y2_cell = np.ascontiguousarray(y2_cell.T)
-    return _step_nodes(dy1, y2_cell, sigma, s0, np.arange(y1.shape[1])).T
+    cells = np.empty((2, y1.shape[1] - 1, y1.shape[0]))
+    _cell_increments(y1, y2, cells[0], cells[1], _Workspace())
+    return _step_nodes(cells[0], cells[1], sigma, s0, np.arange(y1.shape[1])).T
+
+
+def _cell_increments(y1, y2, dy1, y2_cell, work: _Workspace):
+    """Write a block's cell increments, node-major, into (N, B) views.
+
+    ``dy1`` gets ``np.diff(y1)`` and ``y2_cell`` gets
+    ``np.diff(y2) - y1[:, :-1] * np.diff(y1)``, transposed, with the
+    bits of those whole-array formulas; :func:`_step_nodes` then reads
+    one contiguous row per step.
+    """
+    B, N = y1.shape[0], y1.shape[1] - 1
+    d1 = np.subtract(y1[:, 1:], y1[:, :-1], out=work.view("d1", (B, N)))
+    dy1[...] = d1.T
+    d2 = np.subtract(y2[:, 1:], y2[:, :-1], out=work.view("d2", (B, N)))
+    d1 *= y1[:, :-1]
+    d2 -= d1
+    y2_cell[...] = d2.T
 
 
 def _step_nodes(dy1, y2_cell, sigma: SigmaFunction, s0: float,

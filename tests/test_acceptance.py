@@ -187,9 +187,8 @@ def test_geometric_model_oracle(capsys):
     # S0 exp(X_T - T/2); RMS relative error <= 2% at 2^12 cells over
     # 10^3 paths, and it halves (within 20%) when the mesh halves.
     report = rde_convergence_check(SigmaLinear(0.0, 1.0), ConstantVol(1.0),
-                                   riemann_liouville(0.5, 0.01), rho=0.0,
-                                   s0=1.0, n_coarse=1 << 12, n_paths=1000,
-                                   seed=1)
+                                   rho=0.0, s0=1.0, n_coarse=1 << 12,
+                                   n_paths=1000, seed=1)
     rms = report.rms[1 << 12]
     ok = rms <= 0.02 and 0.4 <= report.ratio <= 0.6
     _report(capsys, "geometric-model-oracle", ok,

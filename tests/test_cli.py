@@ -489,6 +489,53 @@ def test_mc_price_fails_when_no_row_is_scored(tmp_path):
     assert "statistic" not in summary
 
 
+def test_mc_price_without_a_lognormal_target_grades_nothing(tmp_path):
+    # The default (exponential) vol function pins no flat implied vol:
+    # the table is written, and "pass" is null, neither pass nor fail.
+    cfg = _cfg(tmp_path, """
+index.alpha = 0.45
+index.beta = 0.2
+grid.N = 64
+kernel.H = 0.3
+corr.rho = -0.7
+mc.check = price
+mc.n_paths = 300
+mc.strikes = 0.9, 1.0
+mc.maturities = 1.0
+rng.seed = 5
+""")
+    out = tmp_path / "pr"
+    assert main(["mc", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "mc_summary.json").read_text())
+    assert summary == {"check": "price", "inversion_errors": 0, "pass": None}
+    assert '"pass": null' in (out / "mc_summary.json").read_text()
+    header, rows = _read_csv(out / "price.csv")
+    assert len(rows) == 2
+
+
+@pytest.mark.parametrize("rho", ["1.5", "-1.0000001", "nan"])
+@pytest.mark.parametrize("check", ["moments", "price", "ito"])
+def test_mc_refuses_rho_outside_the_unit_interval(tmp_path, capsys, check,
+                                                  rho):
+    text = f"""
+index.alpha = 0.45
+index.beta = 0.2
+grid.N = 64
+kernel.H = 0.3
+corr.rho = {rho}
+mc.check = {check}
+mc.n_paths = 8
+mc.strikes = 1.0
+mc.maturities = 0.5
+"""
+    cfg = _cfg(tmp_path, text)
+    out = tmp_path / "mc"
+    assert main(["mc", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: rho must lie in [-1, 1]")
+    assert not (out / "mc_summary.json").exists()
+
+
 def test_mc_price_blow_up_is_a_numerical_error(tmp_path, capsys):
     # sigma(s) = 40 s on 64 cells makes the stepped state leave
     # [-1e6, 1e6] within the horizon.
@@ -543,6 +590,7 @@ mc.n_paths = 1
     summary = json.loads((out / "mc_summary.json").read_text())
     assert summary["check"] == "ito"
     assert summary["statistic"] == 0.0
+    assert summary["tolerance"] == 0.5
     assert summary["pass"] is False
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parpath import core, lift, rde, volfn
+from parpath import core, lift, mc, rde, volfn
 from parpath.config import (
     REGISTRY,
     RunConfig,
@@ -200,3 +200,9 @@ def test_make_rate_problem():
     cfg = parse_config_text("kernel.H = 0.3\nrate.z_steps = 0\n")
     with pytest.raises(ConfigurationError, match="z_steps"):
         make_rate_problem(cfg)
+
+
+def test_mc_chunk_default_is_the_engine_default():
+    # The chunk width is part of the sampling definition: the CLI and
+    # the library must draw the same chunks by default.
+    assert REGISTRY["mc.chunk"] == ("int", mc.DEFAULT_CHUNK)

@@ -12,7 +12,7 @@ from parpath.core import Grid
 from parpath.exceptions import ConfigurationError, DomainError
 from parpath.lift import (BrownianBundle, _hybrid_cell_coeffs,
                           _next_fast_len, _Workspace, build_lift, build_lift_quadrature, kernel_antideriv,
-                          kernel_eval, kernel_sq_antideriv, riemann_liouville,
+                          kernel_sq_antideriv, riemann_liouville,
                           simulate_brownian, volterra_convolve,
                           volterra_convolve_batch)
 from parpath.rng import stream
@@ -24,17 +24,18 @@ from conftest import oracle_level1
 # kernel family
 
 
-def test_kernel_eval_closed_forms():
-    spec = riemann_liouville(0.5, delta=0.01)
-    assert np.allclose(kernel_eval(spec, np.array([0.1, 1.0, 2.0])), 1.0)
-    spec = riemann_liouville(0.1, delta=0.01)
-    assert kernel_eval(spec, np.array([1.0]))[0] == pytest.approx(
-        1.0 / math.gamma(0.6), abs=1e-12)
-    spec = riemann_liouville(0.3, delta=0.01)
-    assert kernel_eval(spec, np.array([0.25]))[0] == pytest.approx(
-        0.25 ** (-0.2) / math.gamma(0.8), abs=1e-12)
-    with pytest.raises(DomainError):
-        kernel_eval(spec, np.array([0.0]))
+def _kappa(H, u):
+    """The Riemann-Liouville kernel u^(H - 1/2) / Gamma(H + 1/2)."""
+    return u ** (H - 0.5) / math.gamma(H + 0.5)
+
+
+def test_kernel_spec_closed_forms():
+    # kappa(u) = const * u^eta is _kappa, whatever delta the Holder
+    # exponents give up.
+    for H, delta in ((0.5, 0.01), (0.1, 0.01), (0.3, 0.01), (0.3, 0.2)):
+        spec = riemann_liouville(H, delta=delta)
+        assert spec.eta == pytest.approx(H - 0.5, abs=1e-15)
+        assert spec.const == pytest.approx(1.0 / math.gamma(H + 0.5), rel=1e-15)
 
 
 def test_kernel_spec_validation():
@@ -51,11 +52,9 @@ def test_kernel_spec_validation():
 def test_antiderivatives_match_quadrature():
     spec = riemann_liouville(0.3, delta=0.01)
     for t in (0.2, 0.7, 1.3):
-        want, _ = scipy.integrate.quad(
-            lambda u: float(kernel_eval(spec, np.array([u]))[0]), 0.0, t)
+        want, _ = scipy.integrate.quad(lambda u: _kappa(0.3, u), 0.0, t)
         assert float(kernel_antideriv(spec, t)) == pytest.approx(want, rel=1e-9)
-        want2, _ = scipy.integrate.quad(
-            lambda u: float(kernel_eval(spec, np.array([u]))[0]) ** 2, 0.0, t)
+        want2, _ = scipy.integrate.quad(lambda u: _kappa(0.3, u) ** 2, 0.0, t)
         assert float(kernel_sq_antideriv(spec, t)) == pytest.approx(want2, rel=1e-8)
     # Anchored L2 mass over [0, t]: t^{2H} / (2H Gamma(H + 1/2)^2).
     g2 = math.gamma(0.6) ** 2

@@ -1,5 +1,6 @@
 """Monte Carlo engine and model-level diagnostic checks."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -220,30 +221,30 @@ def test_stepped_blow_up_names_the_node_and_paths():
     assert "of 100 paths" in str(expected)
 
 
-def _engine_runs(grid, n_paths, chunk, threads=1):
+def _engine_runs(grid, n_paths, chunk, threads=1, rho=-0.7):
     """One call of each Monte Carlo engine on ``grid``, keyed by engine."""
     kernel, sigma = _H_ROUGH, SigmaLinear(0.0, 1.0)
     problem = RateProblem(ConstantVol(0.3), 1.0, -0.7, 0.3, K=8, restarts=1,
                           seed=0, z_grid=(0.05,))
     kw = dict(threads=threads, chunk=chunk)
     return {
-        "state": lambda: simulate_state(kernel, _EXP_F, sigma, -0.7, 1.0, grid,
+        "state": lambda: simulate_state(kernel, _EXP_F, sigma, rho, 1.0, grid,
                                         [grid.N], n_paths, 1, **kw),
-        "price": lambda: price_and_implied_vol(kernel, _EXP_F, sigma, -0.7,
+        "price": lambda: price_and_implied_vol(kernel, _EXP_F, sigma, rho,
                                                1.0, grid, (1.0,), (1.0,),
                                                n_paths, 1, **kw),
         "ldp": lambda: ldp_tail_check(kernel, _EXP_F, SigmaConstant(1.0),
-                                      -0.7, grid, 0.05, (0.25, 0.5, 1.0),
+                                      rho, grid, 0.05, (0.25, 0.5, 1.0),
                                       problem, n_paths, 1, min_count=1, **kw),
         "moments": lambda: moment_scaling_check(
-            kernel, grid, -0.7, n_paths, 1, t_nodes=[grid.N // 4, grid.N],
+            kernel, grid, rho, n_paths, 1, t_nodes=[grid.N // 4, grid.N],
             **kw),
         "ito": lambda: ito_consistency_check(
-            kernel, SMALL, _EXP_F, -0.7, n_paths, 1,
+            kernel, SMALL, _EXP_F, rho, n_paths, 1,
             coarse_cells=(grid.N // 4,), fine_cells=grid.N, **kw),
-        "rde": lambda: rde_convergence_check(sigma, ConstantVol(0.3), kernel,
-                                             -0.7, 1.0, grid.N // 2, n_paths,
-                                             1, **kw),
+        "rde": lambda: rde_convergence_check(sigma, ConstantVol(0.3), rho,
+                                             1.0, grid.N // 2, n_paths, 1,
+                                             **kw),
     }
 
 
@@ -272,6 +273,26 @@ def test_every_engine_refuses_fewer_than_one_thread(monkeypatch, engine,
     run = _engine_runs(core.Grid(T=1.0, N=64), 20, 8, threads)[engine]
     with pytest.raises(ConfigurationError, match="at least one thread"):
         run()
+
+
+@pytest.mark.parametrize("engine", _ENGINES)
+@pytest.mark.parametrize("rho", [1.5, -1.0000001, float("nan")],
+                         ids=["1.5", "-1.0000001", "nan"])
+def test_every_engine_refuses_rho_outside_the_unit_interval(monkeypatch,
+                                                            engine, rho):
+    # The draw clips 1 - rho^2 at 0, so an out-of-range rho would run a
+    # driver with no independent part, dX = rho dW, and NaN would spread
+    # through every sample: the chunk runner refuses it before any draw.
+    monkeypatch.setattr(mc, "stream", _no_stream)
+    run = _engine_runs(core.Grid(T=1.0, N=64), 20, 8, rho=rho)[engine]
+    with pytest.raises(ConfigurationError, match=r"rho must lie in \[-1, 1\]"):
+        run()
+
+
+@pytest.mark.parametrize("engine", _ENGINES)
+@pytest.mark.parametrize("rho", [1.0, -1.0])
+def test_every_engine_accepts_rho_at_the_interval_ends(engine, rho):
+    _engine_runs(core.Grid(T=1.0, N=64), 20, 8, rho=rho)[engine]()
 
 
 @pytest.mark.parametrize("engine", _ENGINES)
@@ -524,7 +545,7 @@ _H_ROUGH = riemann_liouville(0.3, 0.01)
     (lambda: ito_consistency_check(_H_ROUGH, SMALL, _EXP_F, -0.7, 2, 1,
                                    coarse_cells=(16,), fine_cells=64), 3),
     (lambda: rde_convergence_check(SigmaLinear(0.0, 1.0), ConstantVol(1.0),
-                                   _H_ROUGH, 0.0, 1.0, 32, 20, 1, chunk=8), 2),
+                                   0.0, 1.0, 32, 20, 1, chunk=8), 2),
 ], ids=["constant-f", "exponential-f-H-half", "exponential-f-H-rough",
         "price-constant-f", "moments-H-half", "moments-H-rough", "ito-H-half",
         "ito-H-rough", "rde-convergence"])
@@ -779,6 +800,23 @@ def test_moment_scaling_degenerate_moment():
                              indices=((1, 0),), t_nodes=[1, 32])
 
 
+def test_check_tolerances_are_fixed():
+    # A moment slope passes within 0.05 of its exponent and the ito
+    # ratio at 0.5 or below, both bounds inclusive.
+    assert (mc.MOMENTS_TOL, mc.ITO_MAX_RATIO) == (0.05, 0.5)
+    report = moment_scaling_check(riemann_liouville(0.3, 0.01),
+                                  core.Grid(T=1.0, N=64), 0.0, 10, seed=1,
+                                  t_nodes=[16, 64])
+    assert report.tol == 0.05
+    for dev, passed in ((0.05, True), (np.nextafter(0.05, 1.0), False)):
+        devs = dict.fromkeys(report.indices, dev)
+        assert dataclasses.replace(report, deviations=devs).passed is passed
+    ito = mc.ItoConsistencyReport(coarse_cells=(16,), rms={16: 1.0},
+                                  ratio=0.5, n_paths=1, seed=0)
+    assert ito.passed()
+    assert not dataclasses.replace(ito, ratio=np.nextafter(0.5, 1.0)).passed()
+
+
 # ---------------------------------------------------------------------------
 # compensated-sum consistency
 
@@ -888,9 +926,8 @@ def test_price_table_maturities_must_sit_on_grid():
 
 def test_rde_convergence_against_closed_form():
     report = rde_convergence_check(SigmaLinear(0.0, 1.0), ConstantVol(1.0),
-                                   riemann_liouville(0.3, 0.01), rho=0.0,
-                                   s0=1.0, n_coarse=64, n_paths=512, seed=3,
-                                   chunk=256)
+                                   rho=0.0, s0=1.0, n_coarse=64, n_paths=512,
+                                   seed=3, chunk=256)
     assert report.n_cells == (64, 128)
     assert report.rms[128] < report.rms[64]
     assert report.ratio == report.rms[128] / report.rms[64]
@@ -925,21 +962,19 @@ def test_rde_convergence_is_bit_identical_to_whole_chunks():
     rel = np.concatenate(rel)
     for threads in (1, 2):
         report = rde_convergence_check(SigmaLinear(0.0, b), ConstantVol(c),
-                                       riemann_liouville(0.3, 0.01), rho, s0,
-                                       n_coarse, n_paths, seed,
+                                       rho, s0, n_coarse, n_paths, seed,
                                        threads=threads, chunk=chunk)
         assert report.rms == {n_coarse: float(np.sqrt(np.mean(rel[:, 0] ** 2))),
                               2 * n_coarse: float(np.sqrt(np.mean(rel[:, 1] ** 2)))}
 
 
 def test_rde_convergence_needs_the_benchmark_model():
-    kernel = riemann_liouville(0.5, 0.01)
     with pytest.raises(ConfigurationError, match="constant f"):
-        rde_convergence_check(SigmaLinear(0.5, 1.0), ConstantVol(1.0), kernel,
+        rde_convergence_check(SigmaLinear(0.5, 1.0), ConstantVol(1.0),
                               rho=0.0, s0=1.0, n_coarse=16, n_paths=8, seed=1)
     with pytest.raises(ConfigurationError, match="constant f"):
         rde_convergence_check(SigmaLinear(0.0, 1.0),
-                              ExponentialVol(1.0, (1.0, 0.0)), kernel,
+                              ExponentialVol(1.0, (1.0, 0.0)),
                               rho=0.0, s0=1.0, n_coarse=16, n_paths=8, seed=1)
 
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from parpath import rate
 from parpath.exceptions import ConfigurationError, DomainError, NumericalError
 from parpath.rate import (
     RateProblem,
     RateSolution,
-    kh_convolve,
+    _kh_matrix,
     minimize_rate,
     optimality_report,
     rate_objective,
@@ -32,15 +33,14 @@ class FirstCoordinate(VolFunction):
 # kernel convolution on control cells
 
 
-def test_kh_convolve_zero_and_validation():
-    np.testing.assert_array_equal(kh_convolve(np.zeros(6), 0.3), np.zeros(6))
-    with pytest.raises(DomainError):
-        kh_convolve(np.zeros(0), 0.3)
-    with pytest.raises(DomainError):
-        kh_convolve(np.zeros((2, 3)), 0.3)
-    for H in (0.0, -0.1, 0.7):
-        with pytest.raises(ConfigurationError):
-            kh_convolve(np.ones(4), H)
+def test_kh_matrix_is_lower_triangular():
+    # Midpoint k sees the cells below it and the lower half of its own.
+    for H, K in ((0.3, 6), (0.5, 4), (0.05, 9)):
+        W = _kh_matrix(H, K)
+        assert W.shape == (K, K)
+        np.testing.assert_array_equal(W, np.tril(W))
+        assert np.all(np.diag(W) > 0.0)
+        np.testing.assert_array_equal(W @ np.zeros(K), np.zeros(K))
 
 
 def test_kh_convolve_flat_kernel_is_cumulative_integral():
@@ -49,7 +49,7 @@ def test_kh_convolve_flat_kernel_is_cumulative_integral():
     K = 8
     g = np.arange(1.0, K + 1.0)
     mids = (np.arange(K) + 0.5) / K
-    out = kh_convolve(g, 0.5)
+    out = _kh_matrix(0.5, K) @ g
     expect = np.array([np.sum(np.minimum(np.maximum(m - np.arange(K) / K, 0.0), 1.0 / K) * g)
                        for m in mids])
     np.testing.assert_allclose(out, expect, rtol=1e-13)
@@ -59,7 +59,7 @@ def test_kh_convolve_constant_control_closed_form():
     K, H = 16, 0.3
     p = H + 0.5
     mids = (np.arange(K) + 0.5) / K
-    out = kh_convolve(np.ones(K), H)
+    out = _kh_matrix(H, K) @ np.ones(K)
     expect = mids ** p / (p * math.gamma(p))
     np.testing.assert_allclose(out, expect, rtol=1e-12)
 
@@ -70,7 +70,7 @@ def test_kh_convolve_matches_quadrature():
     p = H + 0.5
     kappa = lambda u: u ** (p - 1.0) / math.gamma(p)
     edges = np.arange(K + 1) / K
-    out = kh_convolve(g, H)
+    out = _kh_matrix(H, K) @ g
     for k in range(K):
         t = (k + 0.5) / K
         total = 0.0
@@ -166,7 +166,6 @@ def test_minimizer_beats_random_search():
     K = 4
     prob = RateProblem(f=F_EXP, sigma0=1.0, rho=-0.7, H=0.3, K=K, restarts=4)
     sol = minimize_rate(0.3, prob)
-    from parpath.rate import _kh_matrix
     W = _kh_matrix(0.3, K)
     dt = 1.0 / K
     gen = np.random.default_rng(77)
@@ -201,6 +200,27 @@ def test_minimize_rate_deterministic():
     np.testing.assert_array_equal(a.minimizer, b.minimizer)
 
 
+@pytest.mark.parametrize("residual, certified", [
+    (4e-8, True), (np.nextafter(4e-8, 1.0), False)], ids=["at", "above"])
+def test_minimize_rate_certifies_at_1e8_relative_residual(monkeypatch,
+                                                          residual, certified):
+    # A flat objective of value 3 whose gradient residual never moves:
+    # the solve certifies it exactly when residual <= 1e-8 * (1 + 3).
+    def flat(g, z, problem, return_grad=False):
+        grad = np.zeros(problem.K)
+        grad[0] = residual
+        return (3.0, grad) if return_grad else 3.0
+
+    monkeypatch.setattr(rate, "rate_objective", flat)
+    prob = RateProblem(f=F_EXP, sigma0=1.0, rho=-0.7, H=0.3, K=4, restarts=2)
+    if certified:
+        sol = minimize_rate(0.3, prob)
+        assert (sol.value, sol.grad_norm) == (3.0, residual)
+    else:
+        with pytest.raises(NumericalError, match="stalled"):
+            minimize_rate(0.3, prob)
+
+
 def test_optimality_report_certifies_solution():
     prob = RateProblem(f=F_EXP, sigma0=1.0, rho=-0.7, H=0.3, K=16, restarts=4)
     sol = minimize_rate(0.25, prob)
@@ -216,8 +236,8 @@ def test_optimality_report_certifies_solution():
 
 def test_smile_flat_for_constant_f():
     prob = RateProblem(f=ConstantVol(0.25), sigma0=2.0, rho=-0.4, H=0.3,
-                       K=16, restarts=2)
-    pts = smile_curve(prob, z_grid=[-0.4, -0.1, 0.0, 0.2, 0.5])
+                       K=16, restarts=2, z_grid=(-0.4, -0.1, 0.0, 0.2, 0.5))
+    pts = smile_curve(prob)
     for pt in pts:
         if pt.z == 0.0:
             assert pt.sigma_asym is None

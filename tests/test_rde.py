@@ -5,7 +5,8 @@ import scipy.integrate
 from parpath import core, rde
 from parpath.exceptions import ConfigurationError, DomainError, SolverError
 from parpath.integrate import RoughPath, integrate
-from parpath.lift import build_lift_quadrature, riemann_liouville, simulate_brownian
+from parpath.lift import (_Workspace, build_lift_quadrature, riemann_liouville,
+                          simulate_brownian)
 from parpath.rde import (
     RdeProblem,
     SigmaConstant,
@@ -261,6 +262,39 @@ def test_step_nodes_blow_up_names_the_first_node(B):
     assert str(got.value) == str(want.value) == \
         f"state blew up at node 13 ({n_bad} of {B} paths)"
     assert got.value.last_good_index == want.value.last_good_index == 12
+
+
+def _whole_array_cells(y1, y2):
+    """Node-major cell increments by whole-array formulas: the bit-level
+    reference of :func:`rde._cell_increments`."""
+    dy1 = np.ascontiguousarray(np.diff(y1, axis=1).T)
+    y2_cell = np.diff(y2, axis=1)
+    y2_cell -= y1[:, :-1] * dy1.T
+    return dy1, np.ascontiguousarray(y2_cell.T)
+
+
+@pytest.mark.parametrize("B, N", [(1, 4096), (4, 4096), (7, 300), (1024, 64)])
+def test_batch_steps_the_whole_array_increments(B, N):
+    gen = np.random.default_rng(B * N)
+    y1 = np.zeros((B, N + 1))
+    y1[:, 1:] = np.cumsum(gen.normal(size=(B, N)) / np.sqrt(N), axis=1)
+    y2 = np.zeros((B, N + 1))
+    y2[:, 1:] = np.cumsum(gen.normal(size=(B, N)) * 0.3 / N, axis=1)
+    dy1, y2_cell = _whole_array_cells(y1, y2)
+    sigma = _STEP_SIGMAS["smooth"]
+    want = _reference_step_nodes(dy1, y2_cell, sigma, 0.4, range(N + 1)).T
+    got = solve_rde_batch(y1, y2, sigma, 0.4)
+    assert got.shape == (B, N + 1)
+    assert got.tobytes() == want.tobytes()
+    # In views of larger arrays and a workspace that a wider block used.
+    work = _Workspace()
+    work.view("d1", (B + 3, N + 5))
+    cells = np.full((2, N + 2, B + 1), np.nan)
+    rde._cell_increments(y1, y2, cells[0, 1:-1, :-1], cells[1, 1:-1, :-1],
+                         work)
+    assert cells[0, 1:-1, :-1].tobytes() == dy1.tobytes()
+    assert cells[1, 1:-1, :-1].tobytes() == y2_cell.tobytes()
+    assert np.isnan(cells[:, [0, -1]]).all() and np.isnan(cells[:, :, -1]).all()
 
 
 # ---------------------------------------------------------------------------
