@@ -369,26 +369,6 @@ def _mc_ldp(cfg, run, threads: int):
     sigma = config_mod.make_sigma(cfg)
     problem = config_mod.make_rate_problem(cfg)
     s0 = cfg["model.S0"]
-    sigma0 = float(np.asarray(sigma.value(np.asarray(s0))))
-    if abs(problem.H - cfg["kernel.H"]) > 1e-12:
-        raise ConfigurationError(
-            f"rate.H = {problem.H} must match kernel.H = {cfg['kernel.H']} "
-            "for the tail check")
-    if abs(problem.rho - cfg["corr.rho"]) > 1e-12:
-        raise ConfigurationError(
-            f"rate.rho = {problem.rho} must match corr.rho = "
-            f"{cfg['corr.rho']} for the tail check")
-    if abs(problem.sigma0 - sigma0) > 1e-12:
-        raise ConfigurationError(
-            f"rate.sigma0 = {problem.sigma0} must match sigma(S0) = {sigma0} "
-            "for the tail check")
-    probe = np.linspace(-2.0, 2.0, 9)
-    if not np.allclose(np.asarray(f.value_first(probe)),
-                       np.asarray(problem.f.value_first(probe)),
-                       rtol=1e-12, atol=1e-12):
-        raise ConfigurationError(
-            "vol.* and rate.f.* must agree on the first coordinate for the "
-            "tail check")
     t_values = cfg["mc.t_values"]
     if not t_values:
         raise ConfigurationError("mc.t_values must be set for the tail check")

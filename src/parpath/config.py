@@ -6,6 +6,10 @@ below with a type and default; unknown or repeated keys are rejected so
 a typo cannot silently fall back to a default.  ``kernel.H`` is the one
 required key: there is no sensible default Hurst parameter.
 
+The keys describe one model: ``rate``, ``smile`` and ``mc ldp`` solve
+the rate problem of ``kernel.H``, ``corr.rho``, ``vol.*`` and
+``sigma(model.S0)``; the ``rate.*`` keys set only its solver and grid.
+
 The resolved mapping (defaults filled in, overrides applied) has a
 canonical text form whose SHA-256 is the config hash embedded in run
 manifests; two runs agree bit-for-bit iff their resolved hashes match
@@ -53,7 +57,6 @@ REGISTRY = {
     "index.e": ("int", 2),
     "grid.N": ("int", 4096),
     "grid.T": ("float", 1.0),
-    "kernel.variant": ("str", "riemann_liouville"),
     "kernel.H": ("float", _REQUIRED),
     "kernel.delta": ("float", 0.01),
     "corr.rho": ("float", 0.0),
@@ -76,14 +79,7 @@ REGISTRY = {
     "rate.z_min": ("float", -0.5),
     "rate.z_max": ("float", 0.5),
     "rate.z_steps": ("int", 11),
-    "rate.rho": ("float", -0.7),
-    "rate.H": ("float", 0.3),
-    "rate.sigma0": ("float", 1.0),
     "rate.restarts": ("int", 8),
-    "rate.f.family": ("str", "exponential"),
-    "rate.f.value": ("float", 0.2),
-    "rate.f.xi": ("float", 1.0),
-    "rate.f.eta": ("float", 1.0),
     "mc.check": ("str", "moments"),
     "mc.n_paths": ("int", 10000),
     "mc.chunk": ("int", 1024),
@@ -192,28 +188,20 @@ def make_index_config(cfg: RunConfig):
 
 def make_kernel(cfg: RunConfig):
     from . import lift
-    variant = cfg["kernel.variant"].lower()
-    if variant in ("riemann_liouville", "riemann-liouville", "rl"):
-        return lift.riemann_liouville(cfg["kernel.H"], delta=cfg["kernel.delta"])
-    raise ConfigurationError(
-        f"kernel.variant {cfg['kernel.variant']!r} is not supported; only "
-        "riemann_liouville kernels are implemented")
+    return lift.riemann_liouville(cfg["kernel.H"], delta=cfg["kernel.delta"])
 
 
-def make_volfn(cfg: RunConfig, prefix: str = "vol."):
+def make_volfn(cfg: RunConfig):
     from . import volfn
-    family = cfg[prefix + "family"].lower()
+    family = cfg["vol.family"].lower()
     if family == "constant":
-        return volfn.ConstantVol(cfg[prefix + "value"], e=cfg["index.e"])
+        return volfn.ConstantVol(cfg["vol.value"], e=cfg["index.e"])
     if family == "exponential":
-        # The rate problem's f only ever sees the first coordinate, so
-        # its key block has no second-exponent entry.
-        second = cfg[prefix + "c"] if (prefix + "c") in cfg.values else 0.0
         e = cfg["index.e"]
-        exps = ([cfg[prefix + "eta"], second] + [0.0] * e)[:e]
-        return volfn.ExponentialVol(cfg[prefix + "xi"], tuple(exps))
+        exps = ([cfg["vol.eta"], cfg["vol.c"]] + [0.0] * e)[:e]
+        return volfn.ExponentialVol(cfg["vol.xi"], tuple(exps))
     raise ConfigurationError(
-        f"{prefix}family must be constant or exponential, got {family!r}")
+        f"vol.family must be constant or exponential, got {family!r}")
 
 
 def make_sigma(cfg: RunConfig):
@@ -247,8 +235,9 @@ def make_rate_problem(cfg: RunConfig):
         z_grid = (cfg["rate.z_min"],)
     else:
         z_grid = tuple(np.linspace(cfg["rate.z_min"], cfg["rate.z_max"], steps))
-    return rate.RateProblem(f=make_volfn(cfg, prefix="rate.f."),
-                            sigma0=cfg["rate.sigma0"], rho=cfg["rate.rho"],
-                            H=cfg["rate.H"], K=cfg["rate.K"],
+    sigma0 = float(make_sigma(cfg).value(cfg["model.S0"]))
+    return rate.RateProblem(f=make_volfn(cfg), sigma0=sigma0,
+                            rho=cfg["corr.rho"], H=cfg["kernel.H"],
+                            K=cfg["rate.K"],
                             restarts=cfg["rate.restarts"],
                             seed=cfg["rng.seed"], z_grid=z_grid)

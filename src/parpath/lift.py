@@ -47,12 +47,9 @@ class KernelSpec:
     ``1/Gamma(H + 1/2)`` and ``zeta - gamma = H - 1/2``.
     """
 
-    variant: str
     zeta: float
     gamma: float
     const: float
-    H: float | None = None
-    delta: float | None = None
 
     @staticmethod
     def riemann_liouville(H: float, delta: float = 0.01) -> "KernelSpec":
@@ -67,9 +64,8 @@ class KernelSpec:
         if not (0.0 < delta < H):
             raise ConfigurationError(
                 f"delta must lie in (0, H) so both exponents stay positive, got {delta}")
-        return KernelSpec(
-            variant="rl", zeta=H - delta, gamma=0.5 - delta,
-            const=1.0 / math.gamma(H + 0.5), H=float(H), delta=float(delta))
+        return KernelSpec(zeta=H - delta, gamma=0.5 - delta,
+                          const=1.0 / math.gamma(H + 0.5))
 
     @property
     def eta(self) -> float:

@@ -568,6 +568,12 @@ def price_and_implied_vol(kernel: KernelSpec, f: VolFunction,
     strikes = np.asarray(strikes, dtype=np.float64)
     if strikes.size == 0:
         raise ConfigurationError("need at least one strike")
+    # call_price takes no other strike or spot: no row could get a vol.
+    if not np.all((strikes > 0) & (strikes < np.inf)):
+        raise ConfigurationError(
+            f"strikes must be positive and finite, got {strikes.tolist()}")
+    if not 0 < s0 < math.inf:
+        raise ConfigurationError(f"spot must be positive and finite, got {s0}")
     snaps = _nodes_for_times(grid, maturities)
     S = np.concatenate(_run_state(kernel, f, sigma, rho, s0, grid, snaps, seed,
                                   cell_correction, n_paths, chunk, threads,
@@ -690,10 +696,12 @@ def ldp_tail_check(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
     the u-slope over the rate value from :func:`minimize_rate`.  Times
     with fewer than ``min_count`` exceedances are dropped; fewer than
     three usable times raises :class:`InsufficientDataError`.  The
-    threshold ``z`` must be positive: the fit is for the upper tail.
+    threshold ``z`` must be positive and finite: the fit is for the
+    upper tail.
     """
-    if not z > 0:
-        raise ConfigurationError(f"tail threshold z must be positive, got {z}")
+    if not 0 < z < math.inf:
+        raise ConfigurationError(
+            f"tail threshold z must be positive and finite, got {z}")
     # A horizon with no exceedance would enter the fit as -log 0.
     if not min_count >= 1:
         raise ConfigurationError(f"min_count must be at least 1, got {min_count}")

@@ -80,8 +80,11 @@ class RateProblem:
             raise ConfigurationError(f"restarts must be >= 1, got {self.restarts}")
         object.__setattr__(self, "z_grid",
                            tuple(float(z) for z in self.z_grid))
+        if not all(map(math.isfinite, self.z_grid)):
+            raise ConfigurationError(
+                f"z grid entries must be finite, got {list(self.z_grid)}")
         base = float(np.asarray(self.f.value_first(np.zeros(1)))[0])
-        if base <= _F_FLOOR:
+        if not base > _F_FLOOR:
             raise ConfigurationError(
                 "f must be positive at the base point; the rate problem is degenerate")
 
@@ -181,7 +184,8 @@ def minimize_rate(z: float, problem: RateProblem) -> RateSolution:
         if res.fun <= value:
             x = res.x
             value, grad_norm = residual(x)
-    if grad_norm > _GRAD_TOL * (1.0 + abs(value)):
+    # Fails closed: a NaN value or residual is never certified.
+    if not grad_norm <= _GRAD_TOL * (1.0 + abs(value)):
         raise NumericalError(
             f"rate minimization stalled at z = {z:g}: best value {value:.6g}, "
             f"gradient residual {grad_norm:.3g} after {problem.restarts} starts "

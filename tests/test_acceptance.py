@@ -304,8 +304,8 @@ kernel.H = 0.3
 rate.K = 16
 rate.restarts = 2
 rate.z_steps = 3
-rate.f.family = constant
-rate.f.value = 0.2
+vol.family = constant
+vol.value = 0.2
 """
 
 MC_CFG = """

@@ -42,11 +42,6 @@ model.sigma.family = constant
 model.sigma.params = 1.0
 vol.family = constant
 vol.value = 0.2
-rate.f.family = constant
-rate.f.value = 0.2
-rate.H = 0.5
-rate.rho = 0.0
-rate.sigma0 = 1.0
 rate.K = 16
 rate.restarts = 2
 mc.check = ldp
@@ -389,8 +384,8 @@ rate.restarts = 2
 rate.z_min = -0.2
 rate.z_max = 0.2
 rate.z_steps = 3
-rate.f.family = constant
-rate.f.value = 0.2
+vol.family = constant
+vol.value = 0.2
 """
 
 
@@ -409,6 +404,22 @@ def test_rate_curve_and_smile_alias(tmp_path):
     assert main(["smile", "--config", cfg, "--out", str(tmp_path / "sm")]) == 0
     assert (tmp_path / "rt" / "rate.csv").read_bytes() == \
         (tmp_path / "sm" / "smile.csv").read_bytes()
+
+
+@pytest.mark.parametrize("lines", [
+    "rate.z_min = nan\nrate.z_steps = 1\n", "rate.z_min = inf\nrate.z_steps = 1\n",
+    "vol.family = exponential\nvol.xi = nan\n"],
+    ids=["z-nan", "z-inf", "xi-nan"])
+def test_rate_refuses_a_model_or_grid_it_cannot_certify(tmp_path, capsys,
+                                                        lines):
+    # Each wrote NaN or inf rows and exited 0: a NaN minimum passed the
+    # certificate, and a NaN f at the base point passed the floor test.
+    text = "kernel.H = 0.3\nrate.K = 8\nrate.restarts = 2\n" + lines
+    out = tmp_path / "rt"
+    assert main(["rate", "--config", _cfg(tmp_path, text),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (out / "rate.csv").exists()
 
 
 MOMENTS = """
@@ -560,6 +571,24 @@ def test_mc_price_with_an_empty_list_is_a_config_error(tmp_path, capsys, line):
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("swap", [
+    ("mc.strikes = 1.0", "mc.strikes = nan"),
+    ("mc.strikes = 1.0", "mc.strikes = 1.0, 0"),
+    ("mc.strikes = 1.0", "mc.strikes = -1"),
+    ("rng.seed = 9", "rng.seed = 9\nmodel.S0 = 0"),
+], ids=["strike-nan", "strike-0", "strike-neg", "spot-0"])
+def test_mc_price_refuses_strikes_and_spot_it_cannot_invert(tmp_path, capsys,
+                                                            swap):
+    # Every path was simulated and every row came out NaN or as an
+    # arbitrage note: no implied vol exists for such a strike or spot.
+    out = tmp_path / "pr"
+    assert main(["mc", "--config", _cfg(tmp_path, PRICE.replace(*swap)),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "positive and finite" in err
+    assert not (out / "price.csv").exists()
+
+
 def test_mc_working_set_beyond_memory_is_a_config_error(tmp_path, capsys):
     # 2^40-path chunks cannot fit; the run must stop before drawing.
     huge = 1 << 40
@@ -607,23 +636,34 @@ def test_mc_ldp_passes_on_consistent_config(tmp_path):
     assert len(rows) == 4
 
 
-@pytest.mark.parametrize("swap, needle", [
-    (("rate.H = 0.5", "rate.H = 0.3"), "kernel.H"),
-    (("rate.rho = 0.0", "rate.rho = -0.7"), "corr.rho"),
-    (("rate.sigma0 = 1.0", "rate.sigma0 = 2.0"), "sigma(S0)"),
-    (("rate.f.value = 0.2", "rate.f.value = 0.3"), "first coordinate"),
-    (("mc.t_values = 0.125, 0.25, 0.375, 0.5", "mc.t_values ="), "mc.t_values"),
-])
-def test_mc_ldp_consistency_guards(tmp_path, capsys, swap, needle):
-    cfg = _cfg(tmp_path, LDP.replace(*swap))
+def test_mc_ldp_needs_t_values(tmp_path, capsys):
+    text = LDP.replace("mc.t_values = 0.125, 0.25, 0.375, 0.5", "mc.t_values =")
+    cfg = _cfg(tmp_path, text)
     assert main(["mc", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-    assert needle in capsys.readouterr().err
+    assert "mc.t_values" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("z", ["0", "-0.15"])
+@pytest.mark.parametrize("line", [
+    "rate.H = 0.5", "rate.rho = 0.0", "rate.sigma0 = 1.0",
+    "rate.f.family = constant", "rate.f.value = 0.2", "rate.f.xi = 1.0",
+    "rate.f.eta = 1.0", "kernel.variant = riemann_liouville"])
+@pytest.mark.parametrize("command", ["rate", "mc"])
+def test_removed_model_keys_are_unknown(tmp_path, capsys, command, line):
+    # The rate problem is the simulated model's: it has no keys of its
+    # own to disagree with kernel.H, corr.rho, sigma(S0) or vol.*.
+    cfg = _cfg(tmp_path, LDP + line + "\n")
+    out = tmp_path / "x"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    key = line.split(" = ")[0]
+    assert f"unknown config key: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("z", ["0", "-0.15", "inf", "nan"])
 def test_mc_ldp_rejects_non_positive_threshold(tmp_path, capsys, z):
-    # z = 0 made the fit's statistic infinite (not valid JSON), and z < 0
-    # scored upper-tail counts against a lower-tail rate.
+    # z = 0 made the fit's statistic infinite (not valid JSON), z < 0
+    # scored upper-tail counts against a lower-tail rate, and z = inf
+    # passed the positivity test.
     cfg = _cfg(tmp_path, LDP.replace("mc.z = 0.15", f"mc.z = {z}"))
     out = tmp_path / "x"
     assert main(["mc", "--config", cfg, "--out", str(out)]) == 2

@@ -16,6 +16,7 @@ from parpath.config import (
     parse_config_text,
 )
 from parpath.exceptions import ConfigurationError
+from parpath.rate import RateProblem
 
 MINIMAL = "kernel.H = 0.3\n"
 
@@ -139,13 +140,17 @@ def test_make_grid_and_index_config():
 
 
 def test_make_kernel_variants():
-    for name in ("rl", "riemann_liouville", "riemann-liouville", "RL"):
-        cfg = parse_config_text(f"kernel.H = 0.3\nkernel.variant = {name}\n")
+    # The two kernel keys are the whole kernel: (H, delta) fixes it, and
+    # distinct pairs give distinct (unequal) specs.
+    specs = set()
+    for H, delta in ((0.3, 0.01), (0.3, 0.05), (0.1, 0.01), (0.5, 0.2)):
+        cfg = parse_config_text(f"kernel.H = {H}\nkernel.delta = {delta}\n")
         spec = make_kernel(cfg)
-        assert spec == lift.riemann_liouville(0.3, delta=0.01)
-    cfg = parse_config_text("kernel.H = 0.3\nkernel.variant = fancy\n")
-    with pytest.raises(ConfigurationError, match="only riemann_liouville"):
-        make_kernel(cfg)
+        assert spec == lift.riemann_liouville(H, delta=delta)
+        specs.add(spec)
+    assert len(specs) == 4
+    assert make_kernel(parse_config_text(MINIMAL)) == \
+        lift.riemann_liouville(0.3, delta=0.01)
 
 
 def test_make_volfn_families():
@@ -158,10 +163,6 @@ def test_make_volfn_families():
     assert isinstance(f, volfn.ExponentialVol)
     assert f.xi == 2.0
     assert f.coeffs == (1.5, 0.5)
-    # the rate block has no second-exponent key: it pads with zero
-    cfg = parse_config_text("kernel.H = 0.3\nrate.f.eta = 1.2\n")
-    g = make_volfn(cfg, prefix="rate.f.")
-    assert g.coeffs == (1.2, 0.0)
     cfg = parse_config_text("kernel.H = 0.3\nvol.family = rough\n")
     with pytest.raises(ConfigurationError, match="constant or exponential"):
         make_volfn(cfg)
@@ -188,7 +189,8 @@ def test_make_sigma_families():
 
 
 def test_make_rate_problem():
-    cfg = parse_config_text("kernel.H = 0.3\nrate.z_min = -0.4\nrate.z_max = 0.4\n"
+    cfg = parse_config_text("kernel.H = 0.3\ncorr.rho = -0.7\n"
+                            "rate.z_min = -0.4\nrate.z_max = 0.4\n"
                             "rate.z_steps = 5\nrate.K = 16\nrate.restarts = 3\n"
                             "rng.seed = 9\n")
     prob = make_rate_problem(cfg)
@@ -200,6 +202,25 @@ def test_make_rate_problem():
     cfg = parse_config_text("kernel.H = 0.3\nrate.z_steps = 0\n")
     with pytest.raises(ConfigurationError, match="z_steps"):
         make_rate_problem(cfg)
+
+
+def test_make_rate_problem_is_the_simulated_model():
+    # The README config: H, rho, sigma(S0) = 0 + 1 * 1 and the default
+    # vol function, with the solver keys at their defaults.
+    cfg = parse_config_text("kernel.H = 0.3\ncorr.rho = -0.7\n")
+    assert make_rate_problem(cfg) == RateProblem(
+        volfn.ExponentialVol(1.0, (1.0, 0.0)), 1.0, -0.7, 0.3, K=64,
+        restarts=8, seed=0, z_grid=tuple(np.linspace(-0.5, 0.5, 11)))
+    # sigma0 is sigma(S0) of either family, and f is the vol.* function.
+    cfg = parse_config_text("kernel.H = 0.2\nmodel.S0 = 2.0\n"
+                            "model.sigma.params = 0.1, 0.3\n"
+                            "vol.family = constant\nvol.value = 0.4\n")
+    prob = make_rate_problem(cfg)
+    assert (prob.H, prob.rho, prob.sigma0) == (0.2, 0.0, 0.1 + 0.3 * 2.0)
+    assert prob.f == make_volfn(cfg) == volfn.ConstantVol(0.4)
+    cfg = parse_config_text("kernel.H = 0.3\nmodel.sigma.family = constant\n"
+                            "model.sigma.params = 0.25\n")
+    assert make_rate_problem(cfg).sigma0 == 0.25
 
 
 def test_mc_chunk_default_is_the_engine_default():

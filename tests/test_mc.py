@@ -920,6 +920,23 @@ def test_price_table_maturities_must_sit_on_grid():
                               n_paths=10, seed=1)
 
 
+@pytest.mark.parametrize("strikes, s0", [
+    ((1.0, math.nan), 1.0), ((0.0,), 1.0), ((-1.0, 1.0), 1.0),
+    ((1.0, math.inf), 1.0), ((1.0,), 0.0), ((1.0,), math.nan),
+    ((1.0,), math.inf)],
+    ids=["K-nan", "K-0", "K-neg", "K-inf", "S0-0", "S0-nan", "S0-inf"])
+def test_price_table_refuses_strikes_and_spot_it_cannot_invert(monkeypatch,
+                                                                strikes, s0):
+    # The pricing formula takes no such strike or spot, so every row
+    # would have been NaN or a bound note: refuse before any draw.
+    monkeypatch.setattr(mc, "stream", _no_stream)
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        price_and_implied_vol(riemann_liouville(0.5, 0.01), ConstantVol(1.0),
+                              SigmaLinear(0.0, 1.0), rho=0.0, s0=s0,
+                              grid=core.Grid(T=1.0, N=64), strikes=strikes,
+                              maturities=(0.25,), n_paths=10, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # scheme convergence
 

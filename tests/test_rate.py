@@ -109,6 +109,22 @@ def test_rate_problem_validation():
         RateProblem(**{**ok, "f": zero_at_base})
     prob = RateProblem(**ok, z_grid=[0.1, -0.2])
     assert prob.z_grid == (0.1, -0.2)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigurationError, match="finite"):
+            RateProblem(**ok, z_grid=(0.1, bad))
+    # f(0) = xi: a NaN xi passed the floor test, NaN <= 1e-12 being false
+    with pytest.raises(ConfigurationError, match="positive at the base"):
+        RateProblem(**{**ok, "f": ExponentialVol(math.nan, (1.0, 0.0))})
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf])
+def test_minimize_rate_never_certifies_a_non_finite_value(z):
+    # The residual test compared NaN with ">", which is false, so a NaN
+    # minimum was returned as certified.
+    prob = RateProblem(f=F_EXP, sigma0=1.0, rho=-0.7, H=0.3, K=8, restarts=2)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericalError, match="stalled"):
+        minimize_rate(z, prob)
 
 
 def test_rate_objective_validates_control():
