@@ -12,27 +12,35 @@ Only the Volterra convolution reads the third block, and not always:
 constant f never reads the driver, so the convolution is skipped, and
 a constant kernel (H = 1/2) makes it const * W.  Such a chunk stops
 its draw after the second block.  Otherwise the third block is drawn
-row block by row block, as the convolution reads it.  The stream fills
-the block in order and float64 normals carry no state between draws,
-so the rows come out with the bits of one whole draw either way.
+row block by row block, as the convolution reads it.  Constant f keeps
+no dW either: the chunk draws dW whole, then the X normals row block
+by row block, and forms dX in dW's rows.  The stream fills the block
+in order and float64 normals carry no state between draws, so the rows
+come out with the bits of one whole draw either way.
 
 Every engine hands its per-chunk stage to :func:`_run_chunks`, the one
 place that plans the chunks, checks their working set, makes the
 call's workspace, draws each chunk into it and dispatches the chunks.
 The workspace (:class:`parpath.lift._Workspace`) gives every worker
 thread its own named arrays for the length of the call: the chunk's
-dW and X normals, one row block of touching-cell normals, the FFT's
-padded rows, spectrum and inverse, the driver and the level arrays.
+dX, and its dW where the driver reads it; one row block of normals,
+the FFT's padded rows, spectrum and inverse, the driver and the level
+arrays; and one node segment's arrays.  So a chunk holds one
+(chunk, N) array per thread when f is constant, two otherwise.
 Convolution, vol function and cumulative levels run on row blocks of
 16 paths in the same arrays, so a block allocates little and faults in
 no fresh pages, however large the chunk.  Every stage is row-wise, so
 blocking changes no bit.  The convolution weights and the
 kernel's spectrum are computed once per call, not once per block.
 Constant sigma telescopes to the first level and the second level is
-never formed.  Any other sigma writes each block's cell increments of
-both levels into two node-major (N, chunk) workspace arrays, and the
-stepper's loop over nodes runs once per chunk on them (its Python
-loop costs the same at any width), keeping only the snapshot nodes.
+never formed.  Any other sigma is stepped in node segments of 64
+(:func:`_step_segments`): the row blocks write f's values over the dW
+rows that the driver has read, and each segment copies its slice of
+dX and of f's values node-major, forms both levels by cumulative sums
+that carry on from the segment before, and resumes the stepper from
+its carried state, keeping only the snapshot nodes.  The stepper's
+Python loop costs the same at any width, so a segment spans the whole
+chunk.
 
 Before any draw, the runner checks that the worker threads'
 workspaces, with the draw rows they make, fit in physical memory, and
@@ -75,11 +83,19 @@ ITO_MAX_RATIO = 0.5  # largest RMS ratio that passes the ito check
 _ROW_BLOCK = 16
 # Arrays of one row block, in rows of N floats: the driver (2), the
 # convolution and its touching cells (2), the FFT's pad, spectrum and
-# inverse (about 6), levels and temporaries (6); stepping adds the
-# second level, its cells and the block's increments (5).  The block's
-# touching-cell normals are one row more.
+# inverse (about 6), levels and temporaries (6).  The block of normals
+# drawn row block by row block is one row more.
 _BLOCK_ROWS = 16
-_STEPPED_BLOCK_ROWS = 5
+# Nodes per segment of the stepper: a segment's (64, chunk) arrays are
+# 0.5 MB at 1024 paths, where a whole chunk's are 33 MB.  The levels are
+# cumulative sums along the nodes, carried from segment to segment, and
+# the stepper resumes from its carried state, so segments change no bit.
+_NODE_SEGMENT = 64
+# Arrays of one node segment, in rows of (segment + 1) * chunk floats:
+# the increments, f's values and the compact copy that transposes them
+# (3), both levels and their terms (4), the squared increments, and the
+# two cell rows with their product (3).
+_SEGMENT_ROWS = 11
 
 
 def _physical_memory():
@@ -91,14 +107,16 @@ def _physical_memory():
 
 
 def _chunk_plan(n_paths: int, chunk: int, N: int, threads: int, aux: bool,
-                stepped: bool):
+                stepped: bool, driver: bool = True):
     """(chunk id, path count) pairs covering [0, n_paths).
 
     Checks first that the workspaces of the threads that will run fit
-    in physical memory.  Each holds the chunk's (2, count, N) draw of
-    dW and X normals; the row block's arrays, with one row block of
-    touching-cell normals when ``aux``; and, when the engine is
-    ``stepped``, the (2, N, count) cell increments.
+    in physical memory.  Each holds the chunk's draw, (count, N) rows
+    of dW and dX with the ``driver``, of dX alone without it; the row
+    block's arrays, with one row block of normals when it draws the
+    touching-cell normals (``aux``) or the X normals (no ``driver``)
+    that way; and, when the engine is ``stepped``, one node segment's
+    arrays.
     """
     if n_paths < 1:
         raise ConfigurationError(f"need at least one path, got {n_paths}")
@@ -107,9 +125,11 @@ def _chunk_plan(n_paths: int, chunk: int, N: int, threads: int, aux: bool,
     if threads < 1:
         raise ConfigurationError(f"need at least one thread, got {threads}")
     count = min(chunk, n_paths)
-    rows = _BLOCK_ROWS + (_STEPPED_BLOCK_ROWS if stepped else 0)
-    per_thread = 8 * (N + 1) * ((2 + 2 * stepped) * count
-                                + (rows + aux) * min(count, _ROW_BLOCK))
+    rows = _BLOCK_ROWS + (aux or not driver)
+    per_thread = 8 * ((N + 1) * ((1 + driver) * count
+                                 + rows * min(count, _ROW_BLOCK))
+                      + stepped * _SEGMENT_ROWS
+                      * (min(N, _NODE_SEGMENT) + 1) * count)
     workers = min(threads, -(-n_paths // chunk))
     memory = _physical_memory()
     if memory is not None and workers * per_thread > memory:
@@ -133,26 +153,29 @@ def _dispatch(worker, plan, threads: int):
 
 
 def _run_chunks(stage, grid: core.Grid, seed: int, rho: float, n_paths: int,
-                chunk: int, threads: int, aux: bool, stepped: bool = False):
+                chunk: int, threads: int, aux: bool, stepped: bool = False,
+                driver: bool = True):
     """Every chunk's ``stage(count, dW, dX, normals, work)``, in chunk order.
 
     The one place where an engine plans, guards, draws and dispatches
     its chunks, so the guard counts what the chunks hold: ``aux`` says
     whether the chunk reads its third row (``normals`` is None without
-    it), ``stepped`` whether the stage holds node-major cell
-    increments.  ``work`` is the call's workspace; ``dW`` and ``dX``
-    are views of its draw, and ``normals`` a :class:`_RowSource` that
-    draws the third row into it block by block.  A ``rho`` outside
-    [-1, 1] (or NaN) raises :class:`ConfigurationError` before any draw.
+    it), ``stepped`` whether the stage steps node segments, and
+    ``driver`` whether it reads dW (``dW`` is None without it, and the
+    chunk holds dX alone).  ``work`` is the call's workspace; ``dW``
+    and ``dX`` are views of its draw, and ``normals`` a
+    :class:`_RowSource` that draws the third row into it block by
+    block.  A ``rho`` outside [-1, 1] (or NaN) raises
+    :class:`ConfigurationError` before any draw.
     """
     if not -1.0 <= rho <= 1.0:
         raise ConfigurationError(f"rho must lie in [-1, 1], got {rho}")
-    plan = _chunk_plan(n_paths, chunk, grid.N, threads, aux, stepped)
+    plan = _chunk_plan(n_paths, chunk, grid.N, threads, aux, stepped, driver)
     work = _Workspace()
 
     def worker(cid, count):
         dW, dX, normals = _draw_increments(seed, cid, count, grid, rho,
-                                           work, with_aux=aux)
+                                           work, with_aux=aux, driver=driver)
         return stage(count, dW, dX, normals, work)
 
     return _dispatch(worker, plan, threads)
@@ -165,14 +188,15 @@ def _row_blocks(count: int):
 
 
 class _RowSource:
-    """A chunk's touching-cell normals, drawn row block by row block.
+    """A row of a chunk's draw, drawn row block by row block.
 
-    ``source[rows]`` draws the next rows of the (count, N) third row of
-    the chunk's draw from its generator into ``work`` and returns them,
-    a view that the next read overwrites.  The stream fills the draw in
-    order, so the rows have the bits of one whole draw only if each
-    read starts where the last one stopped: a skipped or repeated row
-    raises :class:`IndexError`.
+    ``source[rows]`` draws the next rows of the next (count, N) row of
+    the chunk's draw (the touching-cell normals, or the X normals of a
+    chunk that does not keep dW) from its generator into ``work`` and
+    returns them, a view that the next read overwrites.  The stream
+    fills the draw in order, so the rows have the bits of one whole
+    draw only if each read starts where the last one stopped: a skipped
+    or repeated row raises :class:`IndexError`.
     """
 
     def __init__(self, gen, count: int, N: int, work: _Workspace):
@@ -184,9 +208,9 @@ class _RowSource:
                              if isinstance(rows, slice) else (-1, -1, 0))
         if step != 1 or start != self._next or stop <= start:
             raise IndexError(
-                f"touching-cell normals are drawn in order: expected rows "
+                f"normals are drawn in order: expected rows "
                 f"from {self._next} of {self._count}, got {rows!r}")
-        block = self._work.view("aux", (stop - start, self._N))
+        block = self._work.view("normals", (stop - start, self._N))
         self._gen.standard_normal(block.shape, out=block)
         self._next = stop
         return block
@@ -194,30 +218,44 @@ class _RowSource:
 
 def _draw_increments(seed: int, chunk_id: int, count: int, grid: core.Grid,
                      rho: float, work: _Workspace | None = None,
-                     with_aux: bool = True):
+                     with_aux: bool = True, driver: bool = True):
     """(dW, dX, aux) for one chunk, from the chunk's own stream.
 
     dW and dX are the first two rows of the chunk's (3, count, N)
     normal draw, drawn into ``work`` (default: a fresh workspace) and
     scaled in place.  aux is a :class:`_RowSource` over the third row,
-    which draws it as it is read, or None with ``with_aux`` false.  The
-    stream fills the draw in order, so every row keeps its bits.
+    which draws it as it is read, or None with ``with_aux`` false.
+    Without the ``driver``, dW is drawn whole, the X normals row block
+    by row block, and dX is formed in dW's rows: dW and aux come back
+    None.  The stream fills the draw in order, so every row keeps its
+    bits.
     """
     work = _Workspace() if work is None else work
     gen = stream(seed, "mc", chunk_id)
-    draw = gen.standard_normal((2, count, grid.N),
-                               out=work.view("draw", (2, count, grid.N)))
-    dW, dX = draw[0], draw[1]
+    kept = 2 if driver else 1  # whole (count, N) rows of the draw
+    draw = gen.standard_normal((kept, count, grid.N),
+                               out=work.view("draw", (kept, count, grid.N)))
+    dW, dX = draw[0], draw[-1]
+    x_normals = None if driver else _RowSource(gen, count, grid.N, work)
     sq = math.sqrt(grid.delta)
     perp = math.sqrt(max(0.0, 1.0 - rho ** 2))
     for rows in _row_blocks(count):
-        w, x = dW[rows], dX[rows]
+        w = dW[rows]
+        x = dX[rows] if driver else x_normals[rows]
         w *= sq
         # The products of dX = rho * dW + perp * (sq * normal), in place.
         x *= sq
         x *= perp
-        x += rho * w
-    return dW, dX, _RowSource(gen, count, grid.N, work) if with_aux else None
+        if driver:
+            x += rho * w
+        else:
+            # The same sum, formed in dW's rows: nothing reads dW again.
+            w *= rho
+            w += x
+    if not driver:
+        return None, dX, None
+    aux = _RowSource(gen, count, grid.N, work) if with_aux else None
+    return dW, dX, aux
 
 
 def _reads_aux(kernel: KernelSpec, f: VolFunction | None = None) -> bool:
@@ -251,12 +289,10 @@ def _driver_xhat(dW, aux, rows, kernel: KernelSpec, grid: core.Grid,
     return xhat
 
 
-def _levels_batch(f: VolFunction, xhat, dX, delta: float, cell_correction: bool,
-                  work: _Workspace, second: bool = True):
-    """Finest-grid integral levels for stacked paths: (y1, y2), (B, N+1).
+def _levels_batch(f: VolFunction, xhat, dX, work: _Workspace) -> np.ndarray:
+    """Finest-grid first integral level for stacked paths, (B, N+1).
 
-    With ``second`` false, y2 is not computed and comes back as None.
-    Both are views into ``work`` that the next call overwrites.
+    A view into ``work`` that the next call overwrites.
     """
     fv = f.value(xhat)[:, :-1]
     B, N = dX.shape
@@ -264,26 +300,92 @@ def _levels_batch(f: VolFunction, xhat, dX, delta: float, cell_correction: bool,
     y1 = work.view("y1", (B, N + 1))
     y1[:, 0] = 0.0
     np.cumsum(contrib, axis=1, out=y1[:, 1:])
-    if not second:
-        return y1, None
-    cells2 = np.multiply(y1[:, :-1], contrib, out=work.view("cells2", (B, N)))
-    if cell_correction:
-        # cells2 += fv^2 * (0.5 * (dX^2 - delta)), in this order.
-        t = np.square(dX, out=work.view("dx2", (B, N)))
-        t -= delta
-        t *= 0.5
-        u = np.square(fv, out=contrib)  # contrib is not read again
-        u *= t
-        cells2 += u
-    y2 = work.view("y2", (B, N + 1))
-    y2[:, 0] = 0.0
-    np.cumsum(cells2, axis=1, out=y2[:, 1:])
-    return y1, y2
+    return y1
 
 
 def _state_from_levels(y1, sigma: SigmaConstant, s0: float):
     # sigma' = 0: the scheme telescopes, no stepping loop needed.
     return s0 + sigma.c * y1
+
+
+def _carried_cumsum(terms, level, first: bool):
+    """Write the running sums of ``terms`` (L, B) into ``level`` (L+1, B).
+
+    Row 0 of ``level`` holds the carry, the sum up to the segment, and
+    row k becomes row k-1 plus term k-1, the additions of one
+    ``np.cumsum`` along the whole grid; on the ``first`` segment the sum
+    starts at term 0 itself, as ``np.cumsum`` does.  Row by row, since
+    ``np.cumsum`` down the rows walks one column at a time, about four
+    times slower.
+    """
+    start = 1
+    if first:
+        level[1] = terms[0]
+        start = 2
+    for k in range(start, len(level)):
+        np.add(level[k - 1], terms[k - 1], out=level[k])
+
+
+def _node_major(rows, out, work: _Workspace):
+    """Copy ``rows`` (B, L), a slice of a chunk's rows, into ``out`` (L, B).
+
+    Through a compact copy: transposing straight out of the chunk reads
+    one page per path for every node and runs about twice as slow.
+    """
+    compact = work.view("seg_rows", rows.shape)
+    compact[...] = rows
+    out[...] = compact.T
+
+
+def _step_segments(cells, n_cells: int, count: int, sigma: SigmaFunction,
+                   s0: float, keep, delta: float, cell_correction: bool,
+                   work: _Workspace) -> np.ndarray:
+    """Sbar at the nodes ``keep`` of ``count`` paths, (len(keep), count).
+
+    Walks the cells in node segments of ``_NODE_SEGMENT``.
+    ``cells(lo, hi, dx)`` writes the increments dX of cells [lo, hi),
+    node-major, into ``dx`` and returns f's values on those cells: an
+    array like ``dx``, or a float for constant f.  Each segment forms
+    both integral levels by cumulative sums along the nodes, starting
+    from the last node of the one before, then its cell increments by
+    :func:`_cell_increments`, and :func:`_step_nodes` resumes from the
+    carried state.  Every bit is that of the whole chunk's levels,
+    increments and stepping.
+    """
+    out = np.empty((len(keep), count))
+    u = np.zeros(count)
+    for lo in range(0, n_cells, _NODE_SEGMENT):
+        hi = min(lo + _NODE_SEGMENT, n_cells)
+        shape = (hi - lo, count)
+        dx = work.view("seg_dx", shape)
+        fv = cells(lo, hi, dx)
+        contrib = np.multiply(fv, dx, out=work.view("seg_contrib", shape))
+        # Row 0 of each level holds the carry: 0 at node 0, else the
+        # last row of the segment before, moved there below.
+        y1 = work.view("seg_y1", (hi - lo + 1, count))
+        y2 = work.view("seg_y2", (hi - lo + 1, count))
+        if lo == 0:
+            y1[0] = 0.0
+            y2[0] = 0.0
+        _carried_cumsum(contrib, y1, lo == 0)
+        cells2 = np.multiply(y1[:-1], contrib,
+                             out=work.view("seg_cells2", shape))
+        if cell_correction:
+            # cells2 += fv^2 * (0.5 * (dX^2 - delta)), in this order.
+            t = np.square(dx, out=work.view("seg_dx2", shape))
+            t -= delta
+            t *= 0.5
+            v = np.square(fv, out=contrib)  # contrib is not read again
+            v *= t
+            cells2 += v
+        _carried_cumsum(cells2, y2, lo == 0)
+        dy1 = work.view("seg_dy1", shape)
+        y2_cell = work.view("seg_y2_cell", shape)
+        _cell_increments(y1.T, y2.T, dy1, y2_cell, work)
+        _step_nodes(dy1, y2_cell, sigma, s0, keep, out=out, u=u, first=lo)
+        y1[0] = y1[-1]
+        y2[0] = y2[-1]
+    return out
 
 
 def _run_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
@@ -294,9 +396,10 @@ def _run_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
     ``reduce``, each chunk's (S, X), X the driver at the same nodes.
 
     Each stage before the stepper works row by row, so it runs on row
-    blocks in the call's workspace; a stepped sigma's loop over nodes
-    costs the same at any width, so it runs once on the whole chunk's
-    node-major cell increments.
+    blocks in the call's workspace.  A stepped sigma then walks the
+    chunk in node segments (:func:`_step_segments`): the row blocks
+    write f's values over the dW rows that the driver has read, and
+    constant f keeps no dW at all.
     """
     stepped = not isinstance(sigma, SigmaConstant)  # else y2 is never read
     const_f = isinstance(f, ConstantVol)  # the driver is never read
@@ -305,34 +408,39 @@ def _run_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
 
     def stage(count, dW, dX, normals, work):
         X = np.empty((count, snaps.size)) if with_x else None
-        if stepped:
-            dy1 = work.view("dy1", (N, count))
-            y2_cell = work.view("y2_cell", (N, count))
-        else:
-            S = np.empty((count, snaps.size))
+        S = None if stepped else np.empty((count, snaps.size))
         for rows in _row_blocks(count):
-            if const_f:
-                xhat = work.view("xhat", (rows.stop - rows.start, N + 1, 2))
-            else:
+            if not const_f:
                 xhat = _driver_xhat(dW, normals, rows, kernel, grid, work)
-            b1, b2 = _levels_batch(f, xhat, dX[rows], grid.delta,
-                                   cell_correction, work, second=stepped)
-            if stepped:
-                _cell_increments(b1, b2, dy1[:, rows], y2_cell[:, rows], work)
-            else:
+            elif not stepped:  # f never reads it
+                xhat = work.view("xhat", (rows.stop - rows.start, N + 1, 2))
+            if not stepped:
+                b1 = _levels_batch(f, xhat, dX[rows], work)
                 # Elementwise, so only the snapshot columns are formed.
                 S[rows] = _state_from_levels(b1[:, snaps], sigma, s0)
+            elif not const_f:
+                # The driver has read these dW rows: they now hold f.
+                dW[rows] = f.value(xhat)[:, :-1]
             if with_x:
-                path = work.view("x", b1.shape)
+                path = work.view("x", (rows.stop - rows.start, N + 1))
                 path[:, 0] = 0.0
                 np.cumsum(dX[rows], axis=1, out=path[:, 1:])
                 X[rows] = path[:, snaps]
         if stepped:
-            S = s0 + _step_nodes(dy1, y2_cell, sigma, s0, snaps).T
+            def segment(lo, hi, dx):
+                _node_major(dX[:, lo:hi], dx, work)
+                if const_f:
+                    return float(f.c)
+                fv = work.view("seg_fv", dx.shape)
+                _node_major(dW[:, lo:hi], fv, work)  # f's values
+                return fv
+
+            S = s0 + _step_segments(segment, N, count, sigma, s0, snaps,
+                                    grid.delta, cell_correction, work).T
         return (S, X) if with_x else reduce(S)
 
     return _run_chunks(stage, grid, seed, rho, n_paths, chunk, threads,
-                       _reads_aux(kernel, f), stepped)
+                       _reads_aux(kernel, f), stepped, driver=not const_f)
 
 
 def _whole_nodes(values, what: str) -> np.ndarray:
@@ -637,24 +745,30 @@ def rde_convergence_check(sigma: SigmaFunction, f: VolFunction, rho: float,
         out = np.empty((count, 2))
         X_T = np.empty(count)
         for res, g in enumerate((coarse, fine)):
-            dy1 = work.view("dy1", (g.N, count))
-            y2_cell = work.view("y2_cell", (g.N, count))
+            pairs = g is coarse  # each coarse cell sums two fine cells
+
+            def segment(lo, hi, dx):
+                if pairs:
+                    dx[...] = dX[:, 2 * lo:2 * hi].reshape(
+                        count, hi - lo, 2).sum(axis=2).T
+                else:
+                    _node_major(dX[:, lo:hi], dx, work)
+                return float(f.c)
+
             for rows in _row_blocks(count):
                 inc = dX[rows]
-                if g is coarse:
+                if pairs:
                     inc = inc.reshape(-1, n_coarse, 2).sum(axis=2)
-                # f is constant: the driver's values are never read.
-                xhat = work.view("xhat", (inc.shape[0], g.N + 1, 2))
-                y1, y2 = _levels_batch(f, xhat, inc, g.delta, True, work)
-                _cell_increments(y1, y2, dy1[:, rows], y2_cell[:, rows], work)
                 X_T[rows] = np.sum(inc, axis=1)
-            S = s0 + _step_nodes(dy1, y2_cell, sigma, s0, [g.N])[0]
+            S = s0 + _step_segments(segment, g.N, count, sigma, s0, [g.N],
+                                    g.delta, True, work)[0]
             exact = s0 * np.exp(m * X_T - 0.5 * m ** 2)
             out[:, res] = (S - exact) / exact
         return out
 
     rel = np.concatenate(_run_chunks(stage, fine, seed, rho, n_paths, chunk,
-                                     threads, aux=False, stepped=True))
+                                     threads, aux=False, stepped=True,
+                                     driver=False))
     rms = {n_coarse: float(np.sqrt(np.mean(rel[:, 0] ** 2))),
            2 * n_coarse: float(np.sqrt(np.mean(rel[:, 1] ** 2)))}
     return RdeConvergenceReport(n_cells=(n_coarse, 2 * n_coarse), rms=rms,
@@ -697,7 +811,9 @@ def ldp_tail_check(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
     with fewer than ``min_count`` exceedances are dropped; fewer than
     three usable times raises :class:`InsufficientDataError`.  The
     threshold ``z`` must be positive and finite: the fit is for the
-    upper tail.
+    upper tail.  ``rate_problem`` must be of the simulated model's H:
+    the thresholds read it, so an H that is not the kernel's raises
+    :class:`ConfigurationError` before any draw.
     """
     if not 0 < z < math.inf:
         raise ConfigurationError(
@@ -706,6 +822,10 @@ def ldp_tail_check(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
     if not min_count >= 1:
         raise ConfigurationError(f"min_count must be at least 1, got {min_count}")
     H = rate_problem.H
+    if abs(H - (kernel.eta + 0.5)) > 1e-12:
+        raise ConfigurationError(
+            f"the rate problem's H = {H} is not the kernel's "
+            f"H = {kernel.eta + 0.5}")
     snaps = _nodes_for_times(grid, t_values)
     t_arr = grid.nodes[snaps]
     thresholds = z * t_arr ** (0.5 - H)

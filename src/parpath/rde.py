@@ -165,38 +165,44 @@ def solve_rde_batch(y1, y2, sigma: SigmaFunction, s0: float) -> np.ndarray:
 
 
 def _cell_increments(y1, y2, dy1, y2_cell, work: _Workspace):
-    """Write a block's cell increments, node-major, into (N, B) views.
+    """Write cell increments, node-major, into (N, B) views.
 
-    ``dy1`` gets ``np.diff(y1)`` and ``y2_cell`` gets
-    ``np.diff(y2) - y1[:, :-1] * np.diff(y1)``, transposed, with the
-    bits of those whole-array formulas; :func:`_step_nodes` then reads
-    one contiguous row per step.
+    y1, y2: (B, N+1) levels, any strides.  ``dy1`` gets ``np.diff(y1)``
+    and ``y2_cell`` gets ``np.diff(y2) - y1[:, :-1] * np.diff(y1)``,
+    transposed, with the bits of those whole-array formulas (every
+    operation is elementwise); :func:`_step_nodes` then reads one
+    contiguous row per step.
     """
-    B, N = y1.shape[0], y1.shape[1] - 1
-    d1 = np.subtract(y1[:, 1:], y1[:, :-1], out=work.view("d1", (B, N)))
-    dy1[...] = d1.T
-    d2 = np.subtract(y2[:, 1:], y2[:, :-1], out=work.view("d2", (B, N)))
-    d1 *= y1[:, :-1]
-    d2 -= d1
-    y2_cell[...] = d2.T
+    y1, y2 = y1.T, y2.T  # node-major views
+    np.subtract(y1[1:], y1[:-1], out=dy1)
+    np.subtract(y2[1:], y2[:-1], out=y2_cell)
+    y2_cell -= np.multiply(dy1, y1[:-1], out=work.view("d1", dy1.shape))
 
 
-def _step_nodes(dy1, y2_cell, sigma: SigmaFunction, s0: float,
-                keep) -> np.ndarray:
+def _step_nodes(dy1, y2_cell, sigma: SigmaFunction, s0: float, keep,
+                out=None, u=None, first: int = 0) -> np.ndarray:
     """The stepping loop on node-major cell increments.
 
-    dy1, y2_cell: (N, B) first-level increments and second-level cell
-    values, cell q in row q.  Returns Sbar at the nodes ``keep`` (any
-    order, repeats allowed), shape (len(keep), B); no other node is
-    stored.  Raises :class:`SolverError` as :func:`solve_rde_batch`.
+    dy1, y2_cell: (L, B) first-level increments and second-level cell
+    values of cells first, ..., first + L - 1, one row per cell.
+    Returns ``out``, Sbar at the nodes ``keep`` (any order, repeats
+    allowed), shape (len(keep), B); a call writes the rows of the nodes
+    first, ..., first + L and no other node is stored.  ``u`` is Sbar at
+    node ``first`` (default: zeros at node 0), advanced in place, so
+    calls on consecutive cell segments resume where the last one
+    stopped, with the bits of one call on all the cells.  Raises
+    :class:`SolverError` as :func:`solve_rde_batch`, naming the node on
+    the whole grid.
     """
     s0 = float(s0)
     n_cells, B = dy1.shape
     cols = {}
     for j, node in enumerate(keep):
-        cols.setdefault(int(node), []).append(j)
-    out = np.empty((len(keep), B))
-    u = np.zeros(B)
+        cols.setdefault(int(node) - first, []).append(j)
+    if out is None:
+        out = np.empty((len(keep), B))
+    if u is None:
+        u = np.zeros(B)
     for j in cols.get(0, ()):
         out[j] = u
     # The loop's own buffers: what sigma returns may alias s (or be
@@ -217,8 +223,10 @@ def _step_nodes(dy1, y2_cell, sigma: SigmaFunction, s0: float,
         # ``initial`` lets an empty batch through.
         if not np.abs(s, out=t).max(initial=0.0) <= _BLOWUP_GUARD:
             bad = ~np.isfinite(u) | (np.abs(s) > _BLOWUP_GUARD)
-            raise SolverError(f"state blew up at node {q + 1} "
-                              f"({int(bad.sum())} of {B} paths)", last_good_index=q)
+            node = first + q + 1
+            raise SolverError(f"state blew up at node {node} "
+                              f"({int(bad.sum())} of {B} paths)",
+                              last_good_index=node - 1)
         for j in cols.get(q + 1, ()):
             out[j] = u
     return out

@@ -347,9 +347,10 @@ def _guard_threshold(monkeypatch, run):
 
 
 def test_working_set_guard_counts_the_rows_drawn(monkeypatch):
-    # Constant f draws two rows of normals per path, ExponentialVol at
-    # H = 0.3 also one row block of touching-cell normals at a time;
-    # with memory between the two estimates only the first may run.
+    # Constant f keeps one row of the draw, dX, and draws the X normals
+    # one row block at a time; ExponentialVol at H = 0.3 keeps dW and dX
+    # and draws the touching-cell normals one row block at a time; with
+    # memory between the two estimates only the first may run.
     kernel = riemann_liouville(0.3, 0.01)
     grid, count = core.Grid(T=1.0, N=64), 40
 
@@ -359,8 +360,8 @@ def test_working_set_guard_counts_the_rows_drawn(monkeypatch):
 
     two = _guard_threshold(monkeypatch, lambda: run(ConstantVol(0.2)))
     three = _guard_threshold(monkeypatch, lambda: run(_EXP_F))
-    # One (block, N+1) row.
-    assert three - two == 8 * (grid.N + 1) * min(count, mc._ROW_BLOCK)
+    # One (count, N+1) row: dW.
+    assert three - two == 8 * (grid.N + 1) * count
 
     streams = []
 
@@ -391,6 +392,47 @@ def test_working_set_estimate_at_the_tail_rough_config(monkeypatch, threads):
         _H_ROUGH, f, SigmaConstant(1.0), -0.7, core.Grid(T=T, N=4096), 0.3,
         t_values, problem, n_paths=1 << 15, seed=7, threads=threads))
     assert estimate == threads * 76_040_320
+
+
+def test_working_set_estimate_at_the_price_lognormal_config(monkeypatch):
+    # The pricing benchmark: 1024-path chunks at N = 4096, constant f,
+    # linear sigma, one thread.  Per thread, the dX row, one row block
+    # of arrays with its block of X normals, and one node segment's
+    # arrays: 8 ((N+1) (1024 + (16 + 1) * 16) + 11 * 65 * 1024) bytes,
+    # 46.1 MiB.
+    estimate = _guard_threshold(monkeypatch, lambda: price_and_implied_vol(
+        _H_ROUGH, ConstantVol(0.2), SigmaLinear(0.0, 1.0), -0.7, 1.0,
+        core.Grid(T=1.0, N=4096), (0.9, 1.0, 1.1), (0.25, 0.5, 1.0),
+        1 << 13, 7))
+    assert estimate == 48_334_976
+
+
+def test_constant_f_stepped_call_holds_one_draw_row():
+    # A whole constant-f stepped call, after a warm call has made every
+    # import: its peak is one (chunk, N) row of the draw, dX, plus one
+    # row block of X normals and one node segment's arrays, plus fewer
+    # than 32 vectors of chunk floats (the stepper's state and scratch,
+    # sigma's values, derivatives and temporaries, the kept nodes and
+    # each chunk's states and payoffs), far below a second draw row.
+    count, grid = 512, core.Grid(T=1.0, N=4096)
+
+    def call():
+        price_and_implied_vol(_H_ROUGH, ConstantVol(0.2),
+                              SigmaLinear(0.0, 1.0), -0.7, 1.0, grid,
+                              (0.9, 1.0, 1.1), (0.25, 0.5, 1.0), 2 * count, 7,
+                              chunk=count)
+
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    draw_row = count * grid.N
+    block = mc._ROW_BLOCK * grid.N
+    segment = mc._SEGMENT_ROWS * (mc._NODE_SEGMENT + 1) * count
+    assert 8 * draw_row < peak <= 8 * (draw_row + block + segment + 32 * count)
 
 
 def _holding_workspace(held):
@@ -1044,6 +1086,29 @@ def test_ldp_drops_thin_times_and_gives_up_when_starved():
     with pytest.raises(InsufficientDataError, match="exceedances"):
         ldp_tail_check(riemann_liouville(0.5, 0.01), f, SigmaConstant(1.0),
                        0.0, grid, 5.0, t_values, problem, n_paths=500, seed=7)
+
+
+def test_ldp_refuses_a_rate_problem_of_another_H(monkeypatch):
+    # The thresholds z t^(1/2 - H) read the rate problem's H: scoring
+    # an H = 1/2 sample against an H = 0.3 rate stops before any draw.
+    with monkeypatch.context() as patch:
+        patch.setattr(mc, "stream", _no_stream)
+        with pytest.raises(ConfigurationError, match="not the kernel's H"):
+            ldp_tail_check(riemann_liouville(0.5, 0.01), ConstantVol(0.2),
+                           SigmaConstant(1.0), 0.0, core.Grid(T=0.5, N=8),
+                           0.15, (0.125, 0.25, 0.375, 0.5),
+                           RateProblem(ConstantVol(0.3), 2.0, -0.7, 0.3, K=16,
+                                       restarts=2), 20000, 7)
+    # The benchmark's tail model, whose kernel H is 0.29 - 0.49 + 0.5 in
+    # floating point, still runs (2^11 paths, its reduced size).
+    f, T = ExponentialVol(1.0, (1.0, 0.0)), 4e-3
+    report = ldp_tail_check(
+        _H_ROUGH, f, SigmaConstant(1.0), -0.7, core.Grid(T=T, N=4096), 0.3,
+        T * np.array([256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096])
+        / 4096.0,
+        RateProblem(f, 1.0, -0.7, 0.3, K=64, restarts=8, seed=0,
+                    z_grid=(0.3,)), 1 << 11, 7, min_count=5)
+    assert report.n_paths == 1 << 11 and report.rate_value > 0
 
 
 @pytest.mark.parametrize("min_count", [0, -3, 0.5])

@@ -264,6 +264,54 @@ def test_step_nodes_blow_up_names_the_first_node(B):
     assert got.value.last_good_index == want.value.last_good_index == 12
 
 
+def _segmented_step_nodes(dy1, y2_cell, sigma, s0, keep, size):
+    """rde._step_nodes resumed over consecutive segments of ``size`` cells."""
+    n_cells, B = dy1.shape
+    out, u = np.empty((len(keep), B)), np.zeros(B)
+    for lo in range(0, n_cells, size):
+        got = rde._step_nodes(dy1[lo:lo + size], y2_cell[lo:lo + size], sigma,
+                              s0, keep, out=out, u=u, first=lo)
+        assert got is out
+    return out
+
+
+_SEGMENTED_N = 150  # segments of 7 and 64 end on a partial one
+
+
+@pytest.mark.parametrize("size", [1, 7, 64, _SEGMENTED_N])
+@pytest.mark.parametrize("B", [4, 1024])
+@pytest.mark.parametrize("family", sorted(_STEP_SIGMAS))
+def test_step_nodes_in_segments_are_the_one_pass_bits(family, B, size):
+    gen = np.random.default_rng(B)
+    N = _SEGMENTED_N
+    dy1 = np.ascontiguousarray(gen.normal(size=(N, B)) * 0.1)
+    y2_cell = np.ascontiguousarray(gen.normal(size=(N, B)) * 0.01)
+    # Unsorted, with repeats, on and beside segment ends.
+    keep = [N, 3, 0, 17, 3, N, 40, 64, 7, 128, 129, 63, 0]
+    sigma = _STEP_SIGMAS[family]
+    got = _segmented_step_nodes(dy1, y2_cell, sigma, 0.4, keep, size)
+    want = _reference_step_nodes(dy1, y2_cell, sigma, 0.4, keep)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 7, 64, _SEGMENTED_N])
+@pytest.mark.parametrize("B", [4, 1024])
+def test_step_nodes_in_segments_blow_up_at_the_same_node(B, size):
+    N = _SEGMENTED_N
+    dy1 = np.full((N, B), 0.01)
+    dy1[136:, 1::3] = 3e5  # every third path leaves the guard at node 140
+    y2_cell = np.zeros((N, B))
+    sigma = SigmaConstant(1.0)  # the state is 1 + the sum of dy1
+    with pytest.raises(SolverError) as want:
+        _reference_step_nodes(dy1, y2_cell, sigma, 1.0, [N])
+    with pytest.raises(SolverError) as got:
+        _segmented_step_nodes(dy1, y2_cell, sigma, 1.0, [N, 0], size)
+    n_bad = len(range(1, B, 3))
+    assert str(got.value) == str(want.value) == \
+        f"state blew up at node 140 ({n_bad} of {B} paths)"
+    assert got.value.last_good_index == want.value.last_good_index == 139
+
+
 def _whole_array_cells(y1, y2):
     """Node-major cell increments by whole-array formulas: the bit-level
     reference of :func:`rde._cell_increments`."""
