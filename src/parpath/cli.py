@@ -337,7 +337,7 @@ def _mc_price(cfg, run, threads: int):
     # Without a lognormal target nothing is graded: "pass" is null.
     summary = {"check": "price", "inversion_errors":
                sum(1 for r in table.rows if r.note), "pass": None}
-    flat = _flat_vol_target(cfg)
+    flat = mc.lognormal_vol(f, sigma)
     if flat is not None:
         devs = [abs(r.implied_vol - flat) / r.iv_stderr
                 for r in table.rows if r.implied_vol is not None
@@ -348,18 +348,6 @@ def _mc_price(cfg, run, threads: int):
             summary["statistic"] = max(devs)
             summary["tolerance"] = 2.0
     return summary
-
-
-def _flat_vol_target(cfg):
-    """Lognormal implied vol when the config pins one (else None)."""
-    if cfg["vol.family"].lower() != "constant":
-        return None
-    if cfg["model.sigma.family"].lower() != "linear":
-        return None
-    params = cfg["model.sigma.params"]
-    if len(params) != 2 or params[0] != 0.0:
-        return None
-    return params[1] * cfg["vol.value"]
 
 
 def _mc_ldp(cfg, run, threads: int):

@@ -32,10 +32,6 @@ from . import core
 from .exceptions import ConfigurationError, DomainError
 from .rng import stream
 
-# Convolution strategy is a fixed function of N so results never depend
-# on runtime conditions: direct sums for short paths, FFT otherwise.
-_DIRECT_CONV_MAX = 512
-
 
 @dataclasses.dataclass(frozen=True)
 class KernelSpec:
@@ -214,17 +210,15 @@ def _next_fast_len(target: int) -> int:
 class _ConvolutionPlan:
     """What the convolution needs of (kernel, grid) besides the draw.
 
-    ``tail`` holds the exact cell averages of the kernel at lags >= 2,
-    ``mu``/``sd`` the touching-cell coefficients, and for N past the
-    direct-sum limit ``size``/``kf`` the FFT length and the spectrum of
-    ``tail``.
+    ``mu``/``sd`` are the touching-cell coefficients, ``size`` the FFT
+    length and ``kf`` the spectrum of the kernel's exact cell averages
+    at lags >= 2.
     """
 
-    tail: np.ndarray
     mu: float
     sd: float
-    size: int | None
-    kf: np.ndarray | None
+    size: int
+    kf: np.ndarray
 
     @staticmethod
     def build(spec: KernelSpec, grid: core.Grid) -> "_ConvolutionPlan":
@@ -233,12 +227,9 @@ class _ConvolutionPlan:
         Fvals = kernel_antideriv(spec, np.concatenate([[0.0], lags]))
         w = np.diff(Fvals) / delta  # exact cell averages, lag 1..N
         mu, sd = _hybrid_cell_coeffs(spec, delta)
-        tail = w[1:]  # lags >= 2
-        L = N - 1  # rows of dW convolved with tail
-        if L + 1 <= _DIRECT_CONV_MAX:
-            return _ConvolutionPlan(tail, mu, sd, None, None)
-        size = _next_fast_len(2 * L - 1)
-        return _ConvolutionPlan(tail, mu, sd, size, np.fft.rfft(tail[:L], size))
+        tail = w[1:]  # lags >= 2: weights for the first N - 1 cells of dW
+        size = _next_fast_len(2 * tail.size - 1)
+        return _ConvolutionPlan(mu, sd, size, np.fft.rfft(tail, size))
 
 
 def volterra_convolve_batch(dW, aux, spec: KernelSpec, grid: core.Grid,
@@ -281,30 +272,20 @@ def volterra_convolve_batch(dW, aux, spec: KernelSpec, grid: core.Grid,
         # out[:, 1:] is scratch for sd * aux until the paths are written.
         touch += np.multiply(plan.sd, aux, out=out[:, 1:])
     out[:, 1] = touch[:, 0]
-    conv = _convolve_rows(plan, dW[:, : N - 1], work)
-    np.add(conv, touch[:, 1:], out=out[:, 2:])
-    return out
-
-
-def _convolve_rows(plan: _ConvolutionPlan, rows, work: _Workspace):
-    """Row-wise full convolution with ``plan.tail``, first L terms.
-
-    The strategy is fixed by N alone.  The FFT multiplies with the
-    kernel spectrum as the first operand: ``spec * kf`` differs in the
-    last bits.
-    """
-    B, L = rows.shape
-    if plan.kf is None:
-        return np.stack([np.convolve(plan.tail[:L], rows[b]) for b in range(B)])[:, :L]
+    # Row-wise full convolution of dW with the cell averages at lags
+    # >= 2, first N - 1 terms, by FFT.  The kernel spectrum is the
+    # first operand of the product: ``freq * kf`` differs in the last bits.
+    L = N - 1
     pad = work.view("fft_pad", (B, plan.size))
-    pad[:, :L] = rows
+    pad[:, :L] = dW[:, :L]
     pad[:, L:] = 0.0
-    spec = work.view("fft_spec", (B, plan.kf.size), np.complex128)
-    np.fft.rfft(pad, axis=1, out=spec)
-    np.multiply(plan.kf[None, :], spec, out=spec)
+    freq = work.view("fft_spec", (B, plan.kf.size), np.complex128)
+    np.fft.rfft(pad, axis=1, out=freq)
+    np.multiply(plan.kf[None, :], freq, out=freq)
     back = work.view("fft_back", (B, plan.size))
-    np.fft.irfft(spec, plan.size, axis=1, out=back)
-    return back[:, :L]
+    np.fft.irfft(freq, plan.size, axis=1, out=back)
+    np.add(back[:, :L], touch[:, 1:], out=out[:, 2:])
+    return out
 
 
 def volterra_convolve(bundle: BrownianBundle, spec: KernelSpec) -> np.ndarray:

@@ -152,6 +152,11 @@ def _dispatch(worker, plan, threads: int):
         return [fut.result() for fut in futures]
 
 
+def _check_rho(rho: float) -> None:
+    if not -1.0 <= rho <= 1.0:
+        raise ConfigurationError(f"rho must lie in [-1, 1], got {rho}")
+
+
 def _run_chunks(stage, grid: core.Grid, seed: int, rho: float, n_paths: int,
                 chunk: int, threads: int, aux: bool, stepped: bool = False,
                 driver: bool = True):
@@ -168,8 +173,7 @@ def _run_chunks(stage, grid: core.Grid, seed: int, rho: float, n_paths: int,
     block.  A ``rho`` outside [-1, 1] (or NaN) raises
     :class:`ConfigurationError` before any draw.
     """
-    if not -1.0 <= rho <= 1.0:
-        raise ConfigurationError(f"rho must lie in [-1, 1], got {rho}")
+    _check_rho(rho)
     plan = _chunk_plan(n_paths, chunk, grid.N, threads, aux, stepped, driver)
     work = _Workspace()
 
@@ -504,21 +508,27 @@ def moment_scaling_check(kernel: KernelSpec, grid: core.Grid, rho: float,
     Every index scales like ``t^(2 |i| zeta + 1)`` up to the kernel's
     regularity gap: a measured slope passes within MOMENTS_TOL of it.
     Indices are pairs (power of the convolution path, power of t^zeta).
+    An index with ``|i| >= 1`` is 0 at node 1, so it needs t nodes >= 2.
     """
+    _check_rho(rho)
     if indices is None:
         indices = ((0, 0), (1, 0), (0, 1))
     indices = tuple(tuple(i) for i in indices)
     if not indices:
         raise ConfigurationError("need at least one index")
     if t_nodes is None:
-        if grid.N % 64:
-            raise ConfigurationError("default t grid needs N divisible by 64")
+        if grid.N % 64 or grid.N < 128:
+            raise ConfigurationError(
+                "default t grid needs N divisible by 64 and at least 128")
         t_nodes = [grid.N >> k for k in range(7)]
     t_nodes = np.unique(_whole_nodes(t_nodes, "t nodes"))
     if t_nodes.size < 2:
         raise ConfigurationError("a slope needs at least two distinct t nodes")
     if t_nodes[0] < 1 or t_nodes[-1] > grid.N:
         raise ConfigurationError("t nodes out of range")
+    if t_nodes[0] < 2 and any(core.midx_degree(i) >= 1 for i in indices):
+        raise ConfigurationError(
+            "an index with |i| >= 1 has zero moments at node 1: t nodes must be >= 2")
 
     def stage(count, dW, dX, normals, work):
         # Column-major, the layout the fancy-indexed squares of a whole
@@ -721,6 +731,15 @@ class RdeConvergenceReport:
     seed: int
 
 
+def lognormal_vol(f: VolFunction, sigma: SigmaFunction) -> float | None:
+    """``b c`` for constant ``f = c`` and ``sigma(s) = b s``, whose state is
+    lognormal with that volatility; None for any other model."""
+    if (isinstance(f, ConstantVol) and isinstance(sigma, SigmaLinear)
+            and sigma.a == 0.0):
+        return sigma.b * f.c
+    return None
+
+
 def rde_convergence_check(sigma: SigmaFunction, f: VolFunction, rho: float,
                           s0: float, n_coarse: int, n_paths: int, seed: int,
                           threads: int = 1, chunk: int = DEFAULT_CHUNK,
@@ -733,11 +752,10 @@ def rde_convergence_check(sigma: SigmaFunction, f: VolFunction, rho: float,
     same Brownian increments (the coarse grid sums adjacent fine
     cells), so the reported halving ratio is nearly noise-free.
     """
-    if not (isinstance(f, ConstantVol) and isinstance(sigma, SigmaLinear)
-            and sigma.a == 0.0):
+    m = lognormal_vol(f, sigma)
+    if m is None:
         raise ConfigurationError(
             "benchmark needs constant f and sigma(s) = b s (closed-form solution)")
-    m = sigma.b * f.c
     fine = core.Grid(T=1.0, N=2 * n_coarse)
     coarse = core.Grid(T=1.0, N=n_coarse)
 

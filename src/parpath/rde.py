@@ -29,7 +29,10 @@ _BLOWUP_GUARD = 1e6
 
 
 class SigmaFunction:
-    """Scalar diffusion coefficient with the derivatives the scheme uses."""
+    """Scalar diffusion coefficient with the derivatives the scheme uses.
+
+    ``value`` and ``deriv`` return what broadcasts against the states
+    s: an array of their shape, or one float where it is constant."""
 
     def value(self, s):
         raise NotImplementedError
@@ -43,10 +46,10 @@ class SigmaConstant(SigmaFunction):
     c: float
 
     def value(self, s):
-        return np.full_like(np.asarray(s, dtype=np.float64), float(self.c))
+        return float(self.c)
 
     def deriv(self, s):
-        return np.zeros_like(np.asarray(s, dtype=np.float64))
+        return 0.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,7 +63,7 @@ class SigmaLinear(SigmaFunction):
         return self.a + self.b * np.asarray(s, dtype=np.float64)
 
     def deriv(self, s):
-        return np.full_like(np.asarray(s, dtype=np.float64), float(self.b))
+        return float(self.b)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -259,6 +259,7 @@ def test_tail_decay_gaussian_reduction(capsys):
             f"counts {report.counts.tolist()}")
 
 
+@pytest.mark.slow
 def test_tail_decay_rough_driver(capsys):
     # H = 0.3 at a short horizon: a consistency check of measured decay
     # against the variational rate, not a limit theorem; required within

@@ -484,6 +484,32 @@ def test_mc_price_scores_against_flat_vol(tmp_path):
         assert abs(float(row[4]) - 1.0) < 2.0 * float(row[5])
 
 
+# mc_summary.json of the graded and of every ungraded price run below.
+_GRADED_SUMMARY = "6b011a70847830e864050955d64091a75b7ea31f0e03d76f8e718f467be25ec2"
+_UNGRADED_SUMMARY = "1a8b07396a1786f8e28ffa68c0081186ce2b1d0045cc67ab760b26a8e898c6ab"
+
+
+@pytest.mark.parametrize("model, graded", [
+    ("vol.family = constant\nmodel.sigma.params = 0.0, 1.0\n", True),
+    ("vol.family = constant\nmodel.sigma.params = 0.5, 1.0\n", False),
+    ("vol.family = constant\nmodel.sigma.family = constant\n"
+     "model.sigma.params = 1.0\n", False),
+    ("vol.family = exponential\nvol.eta = 0.2\n"
+     "model.sigma.params = 0.0, 1.0\n", False),
+], ids=["lognormal", "affine-sigma", "constant-sigma", "exponential-f"])
+def test_mc_price_grades_only_a_lognormal_model(tmp_path, model, graded):
+    # Constant f with sigma(s) = b s is the one model with a lognormal
+    # target; the summary's bytes are pinned for both outcomes.
+    cfg = _cfg(tmp_path, PRICE.replace("vol.family = constant\n", "") + model)
+    out = tmp_path / "pr"
+    assert main(["mc", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "mc_summary.json").read_text())
+    assert ("statistic" in summary) is graded
+    assert (summary["pass"] is None) is not graded
+    assert _manifest(out)["outputs"]["mc_summary.json"] == \
+        (_GRADED_SUMMARY if graded else _UNGRADED_SUMMARY)
+
+
 def test_mc_price_fails_when_no_row_is_scored(tmp_path):
     # Far out-of-the-money strikes at a low flat vol: every price is 0,
     # no implied vol exists, and a check that scored nothing must fail.
@@ -687,6 +713,17 @@ def test_mc_ldp_rejects_min_count_below_one(tmp_path, capsys, min_count):
     assert not (out / "mc_summary.json").exists()
     written = list(out.rglob("*")) if out.exists() else []
     assert not any(b"NaN" in p.read_bytes() for p in written if p.is_file())
+
+
+def test_mc_moments_refuses_the_default_t_grid_below_128(tmp_path, capsys):
+    # The default t grid's smallest node at N = 64 is node 1, where every
+    # index with |i| >= 1 is exactly 0: refused before any draw.
+    cfg = _cfg(tmp_path, MOMENTS.replace("grid.N = 256", "grid.N = 64"))
+    out = tmp_path / "m"
+    assert main(["mc", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "at least 128" in err
+    assert not (out / "moments.csv").exists()
 
 
 def test_mc_unknown_check(tmp_path, capsys):

@@ -147,20 +147,34 @@ def test_convolution_batch_validation():
         volterra_convolve_batch(np.zeros((2, 8)), np.zeros((2, 7)), spec, grid)
 
 
+def _direct_convolve_batch(dW, aux, spec, grid):
+    """The convolution by direct sums per row, as an independent oracle."""
+    B, N = dW.shape
+    delta = grid.delta
+    w = np.diff(kernel_antideriv(spec, np.arange(N + 1) * delta)) / delta
+    mu, sd = _hybrid_cell_coeffs(spec, delta)
+    touch = mu * dW + sd * aux
+    L = N - 1
+    out = np.zeros((B, N + 1))
+    out[:, 1] = touch[:, 0]
+    for b in range(B):
+        out[b, 2:] = np.convolve(w[1:], dW[b, :L])[:L] + touch[b, 1:]
+    return out
+
+
 def test_fft_and_direct_convolution_agree():
-    # _DIRECT_CONV_MAX = 512 switches strategy; both must give the same
-    # path for the same increments up to rounding.
+    # The FFT route must give the direct sums' path for the same
+    # increments up to rounding, at every grid size and batch width.
     spec = riemann_liouville(0.3, delta=0.01)
     gen = stream(12, "conv-agree")
-    short = Grid(T=1.0, N=256)
-    dW = math.sqrt(short.delta) * gen.standard_normal((2, short.N))
-    direct = volterra_convolve_batch(dW, None, spec, short)
-    # Same increments embedded in a longer grid with identical mesh: the
-    # first 257 nodes only see the first 256 increments.
-    long = Grid(T=4.0, N=1024)
-    dW_long = np.concatenate([dW, np.zeros((2, 768))], axis=1)
-    fft = volterra_convolve_batch(dW_long, None, spec, long)
-    assert np.max(np.abs(fft[:, :257] - direct)) <= 1e-12
+    for N in (2, 64, 512, 513, 1024):
+        grid = Grid(T=1.0, N=N)
+        for rows in (1, 16):
+            dW = math.sqrt(grid.delta) * gen.standard_normal((rows, N))
+            aux = gen.standard_normal((rows, N))
+            fft = volterra_convolve_batch(dW, aux, spec, grid)
+            direct = _direct_convolve_batch(dW, aux, spec, grid)
+            assert np.max(np.abs(fft - direct)) <= 1e-12, (N, rows)
 
 
 def _scipy_convolve_batch(dW, aux, spec, grid):
@@ -185,7 +199,7 @@ def _scipy_convolve_batch(dW, aux, spec, grid):
 
 
 @pytest.mark.parametrize("with_aux", [False, True], ids=["no-aux", "aux"])
-@pytest.mark.parametrize("N", [600, 1000, 3000, 4096, 8192])
+@pytest.mark.parametrize("N", [2, 3, 16, 64, 256, 512, 513, 600, 1000, 3000, 4096, 8192])
 def test_fft_route_matches_the_scipy_formula(N, with_aux):
     # The numpy FFT route must give scipy's bits: if the two pocketfft
     # builds drift apart, this fails before any output digest moves.

@@ -9,7 +9,7 @@ import pytest
 
 from parpath import core, mc
 from parpath.exceptions import (ConfigurationError, InsufficientDataError,
-                                NumericalError, SolverError)
+                                SolverError)
 from parpath.integrate import integrate
 from parpath.lift import _Workspace, riemann_liouville, volterra_convolve_batch
 from parpath.mc import (
@@ -833,13 +833,25 @@ def test_moment_scaling_validation():
     assert whole.slopes == ints.slopes
 
 
-def test_moment_scaling_degenerate_moment():
+def test_moment_scaling_degenerate_moment(monkeypatch):
     # At node 1 the level-1 value with weight xhat^i is exactly zero for
-    # |i| >= 1 because xhat starts at the origin.
+    # |i| >= 1 because xhat starts at the origin: such a t grid is
+    # refused before any draw, and so is the default grid at N = 64,
+    # whose smallest node is 1.
+    monkeypatch.setattr(mc, "stream", _no_stream)
     kernel = riemann_liouville(0.3, 0.01)
-    with pytest.raises(NumericalError, match="degenerate"):
-        moment_scaling_check(kernel, core.Grid(T=1.0, N=64), 0.0, 10, seed=1,
-                             indices=((1, 0),), t_nodes=[1, 32])
+    grid = core.Grid(T=1.0, N=64)
+    for indices in (((1, 0),), ((0, 1),), ((0, 0), (1, 0))):
+        with pytest.raises(ConfigurationError, match="t nodes must be >= 2"):
+            moment_scaling_check(kernel, grid, 0.0, 10, seed=1,
+                                 indices=indices, t_nodes=[1, 32])
+    with pytest.raises(ConfigurationError, match="at least 128"):
+        moment_scaling_check(kernel, grid, 0.0, 10, seed=1)
+    # The zero index is dX itself, which node 1 measures.
+    monkeypatch.undo()
+    report = moment_scaling_check(kernel, grid, 0.0, 10, seed=1,
+                                  indices=((0, 0),), t_nodes=[1, 32])
+    assert np.all(report.mean_squares[(0, 0)] > 0.0)
 
 
 def test_check_tolerances_are_fixed():
