@@ -127,20 +127,20 @@ class _Run:
 
 
 def _build_lift(cfg):
-    grid = config_mod.make_grid(cfg)
-    idxcfg = config_mod.make_index_config(cfg)
-    kernel = config_mod.make_kernel(cfg)
-    bundle = lift_mod.simulate_brownian(grid, cfg["corr.rho"], cfg["rng.seed"])
-    prp = lift_mod.build_lift(bundle, kernel, idxcfg,
+    """(bundle, prp): the configured driver path and its lift."""
+    bundle = lift_mod.simulate_brownian(config_mod.make_grid(cfg),
+                                        cfg["corr.rho"], cfg["rng.seed"])
+    prp = lift_mod.build_lift(bundle, config_mod.make_kernel(cfg),
+                              config_mod.make_index_config(cfg),
                               cell_correction=cfg["lift.cell_correction"])
-    return grid, idxcfg, kernel, bundle, prp
+    return bundle, prp
 
 
 def cmd_lift(cfg, out_dir: str, threads: int) -> int:
     run = _Run("lift", cfg, out_dir)
-    grid, _, _, bundle, prp = _build_lift(cfg)
+    bundle, prp = _build_lift(cfg)
     binio.write_prp(run.path("lift.prp"), prp)
-    rows = zip(range(grid.N + 1), prp.xhat[:, 0].tolist(),
+    rows = zip(range(prp.grid.N + 1), prp.xhat[:, 0].tolist(),
                prp.xhat[:, 1].tolist(), bundle.X.tolist())
     _write_csv(run.path("path.csv"), ["node", "xhat1", "xhat2", "X"], rows)
     run.finish()
@@ -195,12 +195,12 @@ def cmd_verify(cfg, out_dir: str, threads: int) -> int:
     if source:
         prp = binio.read_prp(source)
     else:
-        _, _, _, _, prp = _build_lift(cfg)
+        _, prp = _build_lift(cfg)
     chen = analysis.chen_defect_report(prp, n_triples=n_triples,
                                        seed=cfg["rng.seed"])
     comps = analysis.component_holder_norms(prp, scheme=cfg["verify.scheme"])
     hom = analysis._homogeneous_from_reports(prp.config, comps)
-    f = config_mod.make_volfn(cfg)
+    f = config_mod.make_volfn(cfg, prp.config.e)
     bounds = _bound_check_payload(cfg, prp, f, integral(prp, f), hom)
     tol = 1e-10
     payload = {
@@ -225,7 +225,7 @@ def cmd_verify(cfg, out_dir: str, threads: int) -> int:
 
 def cmd_integrate(cfg, out_dir: str, threads: int) -> int:
     run = _Run("integrate", cfg, out_dir)
-    _, _, _, _, prp = _build_lift(cfg)
+    _, prp = _build_lift(cfg)
     f = config_mod.make_volfn(cfg)
     rp, trace = rough_integrate(prp, f, tol=cfg["integrate.tol"])
     binio.write_rp(run.path("integral.rp"), rp)

@@ -54,7 +54,6 @@ _PARSERS = {
 REGISTRY = {
     "index.alpha": ("float", 0.4),
     "index.beta": ("float", 0.08),
-    "index.e": ("int", 2),
     "grid.N": ("int", 4096),
     "grid.T": ("float", 1.0),
     "kernel.H": ("float", _REQUIRED),
@@ -181,9 +180,10 @@ def make_grid(cfg: RunConfig):
 
 
 def make_index_config(cfg: RunConfig):
+    """Index sets of the driver pair, e = 2: the lift's only dimension."""
     from . import core
     return core.build_index_sets(cfg["index.alpha"], cfg["index.beta"],
-                                 cfg["index.e"], d=1, T=cfg["grid.T"])
+                                 2, d=1, T=cfg["grid.T"])
 
 
 def make_kernel(cfg: RunConfig):
@@ -191,13 +191,14 @@ def make_kernel(cfg: RunConfig):
     return lift.riemann_liouville(cfg["kernel.H"], delta=cfg["kernel.delta"])
 
 
-def make_volfn(cfg: RunConfig):
+def make_volfn(cfg: RunConfig, e: int = 2):
+    """The ``vol.*`` function on ``e`` coordinates, those of the lift it
+    is integrated against."""
     from . import volfn
     family = cfg["vol.family"].lower()
     if family == "constant":
-        return volfn.ConstantVol(cfg["vol.value"], e=cfg["index.e"])
+        return volfn.ConstantVol(cfg["vol.value"], e=e)
     if family == "exponential":
-        e = cfg["index.e"]
         exps = ([cfg["vol.eta"], cfg["vol.c"]] + [0.0] * e)[:e]
         return volfn.ExponentialVol(cfg["vol.xi"], tuple(exps))
     raise ConfigurationError(

@@ -8,15 +8,15 @@ is bit-reproducible for 1 or many worker threads.
 
 Each chunk's draw is one (3, width, N) block of normals, in this
 order: dW, the independent part of X, then the touching-cell normals.
-Only the Volterra convolution reads the third block, and not always:
-constant f never reads the driver, so the convolution is skipped, and
-a constant kernel (H = 1/2) makes it const * W.  Such a chunk stops
-its draw after the second block.  Otherwise the third block is drawn
-row block by row block, as the convolution reads it.  Constant f keeps
-no dW either: the chunk draws dW whole, then the X normals row block
-by row block, and forms dX in dW's rows.  The stream fills the block
-in order and float64 normals carry no state between draws, so the rows
-come out with the bits of one whole draw either way.
+Every chunk draws it one way: dW whole, then each later block row
+block by row block as it is read.  The X normals are read at once, to
+form dX: in its own row where the driver reads dW, in dW's rows where
+constant f never reads it.  Only the Volterra convolution reads the
+third block, and not always: constant f skips the convolution, and a
+constant kernel (H = 1/2) makes it const * W, so such a chunk never
+draws that block.  The stream fills the block in order and float64
+normals carry no state between draws, so the rows come out with the
+bits of one whole draw.
 
 Every engine hands its per-chunk stage to :func:`_run_chunks`, the one
 place that plans the chunks, checks their working set, makes the
@@ -81,11 +81,11 @@ ITO_MAX_RATIO = 0.5  # largest RMS ratio that passes the ito check
 # 0.5 MB at N = 4096, where a whole chunk's are 33 MB each.  Every stage
 # before the stepper is row-wise, so the block size changes no bit.
 _ROW_BLOCK = 16
-# Arrays of one row block, in rows of N floats: the driver (2), the
-# convolution and its touching cells (2), the FFT's pad, spectrum and
-# inverse (about 6), levels and temporaries (6).  The block of normals
-# drawn row block by row block is one row more.
-_BLOCK_ROWS = 16
+# Arrays of one row block, in rows of N floats: the block of normals
+# drawn row block by row block (1), the driver (2), the convolution and
+# its touching cells (2), the FFT's pad, spectrum and inverse (about 6),
+# levels and temporaries (6).
+_BLOCK_ROWS = 17
 # Nodes per segment of the stepper: a segment's (64, chunk) arrays are
 # 0.5 MB at 1024 paths, where a whole chunk's are 33 MB.  The levels are
 # cumulative sums along the nodes, carried from segment to segment, and
@@ -106,17 +106,15 @@ def _physical_memory():
         return None
 
 
-def _chunk_plan(n_paths: int, chunk: int, N: int, threads: int, aux: bool,
+def _chunk_plan(n_paths: int, chunk: int, N: int, threads: int,
                 stepped: bool, driver: bool = True):
     """(chunk id, path count) pairs covering [0, n_paths).
 
     Checks first that the workspaces of the threads that will run fit
     in physical memory.  Each holds the chunk's draw, (count, N) rows
     of dW and dX with the ``driver``, of dX alone without it; the row
-    block's arrays, with one row block of normals when it draws the
-    touching-cell normals (``aux``) or the X normals (no ``driver``)
-    that way; and, when the engine is ``stepped``, one node segment's
-    arrays.
+    block's arrays, its block of normals included; and, when the
+    engine is ``stepped``, one node segment's arrays.
     """
     if n_paths < 1:
         raise ConfigurationError(f"need at least one path, got {n_paths}")
@@ -125,9 +123,8 @@ def _chunk_plan(n_paths: int, chunk: int, N: int, threads: int, aux: bool,
     if threads < 1:
         raise ConfigurationError(f"need at least one thread, got {threads}")
     count = min(chunk, n_paths)
-    rows = _BLOCK_ROWS + (aux or not driver)
     per_thread = 8 * ((N + 1) * ((1 + driver) * count
-                                 + rows * min(count, _ROW_BLOCK))
+                                 + _BLOCK_ROWS * min(count, _ROW_BLOCK))
                       + stepped * _SEGMENT_ROWS
                       * (min(N, _NODE_SEGMENT) + 1) * count)
     workers = min(threads, -(-n_paths // chunk))
@@ -158,28 +155,27 @@ def _check_rho(rho: float) -> None:
 
 
 def _run_chunks(stage, grid: core.Grid, seed: int, rho: float, n_paths: int,
-                chunk: int, threads: int, aux: bool, stepped: bool = False,
+                chunk: int, threads: int, stepped: bool = False,
                 driver: bool = True):
     """Every chunk's ``stage(count, dW, dX, normals, work)``, in chunk order.
 
     The one place where an engine plans, guards, draws and dispatches
-    its chunks, so the guard counts what the chunks hold: ``aux`` says
-    whether the chunk reads its third row (``normals`` is None without
-    it), ``stepped`` whether the stage steps node segments, and
-    ``driver`` whether it reads dW (``dW`` is None without it, and the
-    chunk holds dX alone).  ``work`` is the call's workspace; ``dW``
-    and ``dX`` are views of its draw, and ``normals`` a
-    :class:`_RowSource` that draws the third row into it block by
-    block.  A ``rho`` outside [-1, 1] (or NaN) raises
-    :class:`ConfigurationError` before any draw.
+    its chunks, so the guard counts what the chunks hold: ``stepped``
+    says whether the stage steps node segments, and ``driver`` whether
+    it reads dW (``dW`` is None without it, and the chunk holds dX
+    alone).  ``work`` is the call's workspace; ``dW`` and ``dX`` are
+    views of its draw, and ``normals`` a :class:`_RowSource` that draws
+    the third row into it block by block as it is read.  A ``rho``
+    outside [-1, 1] (or NaN) raises :class:`ConfigurationError` before
+    any draw.
     """
     _check_rho(rho)
-    plan = _chunk_plan(n_paths, chunk, grid.N, threads, aux, stepped, driver)
+    plan = _chunk_plan(n_paths, chunk, grid.N, threads, stepped, driver)
     work = _Workspace()
 
     def worker(cid, count):
         dW, dX, normals = _draw_increments(seed, cid, count, grid, rho,
-                                           work, with_aux=aux, driver=driver)
+                                           work, driver=driver)
         return stage(count, dW, dX, normals, work)
 
     return _dispatch(worker, plan, threads)
@@ -195,12 +191,12 @@ class _RowSource:
     """A row of a chunk's draw, drawn row block by row block.
 
     ``source[rows]`` draws the next rows of the next (count, N) row of
-    the chunk's draw (the touching-cell normals, or the X normals of a
-    chunk that does not keep dW) from its generator into ``work`` and
-    returns them, a view that the next read overwrites.  The stream
-    fills the draw in order, so the rows have the bits of one whole
-    draw only if each read starts where the last one stopped: a skipped
-    or repeated row raises :class:`IndexError`.
+    the chunk's draw (the X normals, then the touching-cell normals)
+    from its generator into ``work`` and returns them, a view that the
+    next read overwrites.  The stream fills the draw in order, so the
+    rows have the bits of one whole draw only if each read starts where
+    the last one stopped: a skipped or repeated row raises
+    :class:`IndexError`.
     """
 
     def __init__(self, gen, count: int, N: int, work: _Workspace):
@@ -222,64 +218,49 @@ class _RowSource:
 
 def _draw_increments(seed: int, chunk_id: int, count: int, grid: core.Grid,
                      rho: float, work: _Workspace | None = None,
-                     with_aux: bool = True, driver: bool = True):
+                     driver: bool = True):
     """(dW, dX, aux) for one chunk, from the chunk's own stream.
 
     dW and dX are the first two rows of the chunk's (3, count, N)
-    normal draw, drawn into ``work`` (default: a fresh workspace) and
-    scaled in place.  aux is a :class:`_RowSource` over the third row,
-    which draws it as it is read, or None with ``with_aux`` false.
-    Without the ``driver``, dW is drawn whole, the X normals row block
-    by row block, and dX is formed in dW's rows: dW and aux come back
-    None.  The stream fills the draw in order, so every row keeps its
-    bits.
+    normal draw, scaled in ``work`` (default: a fresh workspace): dW
+    drawn whole, the X normals row block by row block.  aux is a
+    :class:`_RowSource` over the third row, which draws it as it is
+    read; a row that nothing reads is never drawn.  With the
+    ``driver``, dX gets its own row of ``work``; without it, dX is
+    formed in dW's rows and dW comes back None.  The stream fills the
+    draw in order, so every row keeps its bits.
     """
     work = _Workspace() if work is None else work
     gen = stream(seed, "mc", chunk_id)
-    kept = 2 if driver else 1  # whole (count, N) rows of the draw
-    draw = gen.standard_normal((kept, count, grid.N),
-                               out=work.view("draw", (kept, count, grid.N)))
+    draw = work.view("draw", (1 + driver, count, grid.N))
     dW, dX = draw[0], draw[-1]
-    x_normals = None if driver else _RowSource(gen, count, grid.N, work)
+    gen.standard_normal(dW.shape, out=dW)
+    x_normals = _RowSource(gen, count, grid.N, work)
     sq = math.sqrt(grid.delta)
     perp = math.sqrt(max(0.0, 1.0 - rho ** 2))
     for rows in _row_blocks(count):
         w = dW[rows]
-        x = dX[rows] if driver else x_normals[rows]
+        x = x_normals[rows]
         w *= sq
         # The products of dX = rho * dW + perp * (sq * normal), in place.
         x *= sq
         x *= perp
         if driver:
-            x += rho * w
+            np.add(x, rho * w, out=dX[rows])
         else:
             # The same sum, formed in dW's rows: nothing reads dW again.
             w *= rho
             w += x
-    if not driver:
-        return None, dX, None
-    aux = _RowSource(gen, count, grid.N, work) if with_aux else None
-    return dW, dX, aux
-
-
-def _reads_aux(kernel: KernelSpec, f: VolFunction | None = None) -> bool:
-    """Whether a chunk reads its draw's third row, the touching-cell normals.
-
-    Only the convolution in :func:`_driver_xhat` reads them.  A constant
-    kernel (``eta == 0``, H = 1/2) makes the convolution ``const * W``
-    before it looks at them, and a constant ``f`` never reads the
-    driver, so its engines skip the convolution.  ``f`` None stands for
-    an engine that always forms the driver.
-    """
-    return kernel.eta != 0.0 and not isinstance(f, ConstantVol)
+    return dW if driver else None, dX, _RowSource(gen, count, grid.N, work)
 
 
 def _driver_xhat(dW, aux, rows, kernel: KernelSpec, grid: core.Grid,
                  work: _Workspace) -> np.ndarray:
     """Smooth component (B, N+1, 2) of the chunk rows ``rows``: the
     convolution path and t^zeta.  ``aux`` (the chunk's
-    :class:`_RowSource`) is read once per call, in ascending rows; it
-    may be None where :func:`_reads_aux` says it is not read.
+    :class:`_RowSource`) is read once per call, in ascending rows,
+    unless the kernel is constant (``eta == 0``, H = 1/2): the
+    convolution is then ``const * W`` and reads no touching cells.
 
     The result is a view into ``work`` that the next call overwrites.
     """
@@ -287,7 +268,7 @@ def _driver_xhat(dW, aux, rows, kernel: KernelSpec, grid: core.Grid,
     B = dW.shape[0]
     xhat = work.view("xhat", (B, grid.N + 1, 2))
     xhat[:, :, 0] = volterra_convolve_batch(
-        dW, None if aux is None else aux[rows], kernel, grid, work=work)
+        dW, aux[rows] if kernel.eta != 0.0 else None, kernel, grid, work=work)
     xhat[:, :, 1] = work.once(("t^zeta", kernel.zeta, grid),
                               lambda: grid.nodes ** kernel.zeta)
     return xhat
@@ -444,7 +425,7 @@ def _run_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
         return (S, X) if with_x else reduce(S)
 
     return _run_chunks(stage, grid, seed, rho, n_paths, chunk, threads,
-                       _reads_aux(kernel, f), stepped, driver=not const_f)
+                       stepped, driver=not const_f)
 
 
 def _whole_nodes(values, what: str) -> np.ndarray:
@@ -545,8 +526,7 @@ def moment_scaling_check(kernel: KernelSpec, grid: core.Grid, rho: float,
         # One sum per chunk: per-block sums would add in another order.
         return {i: np.sum(sq, axis=0) for i, sq in squares.items()}
 
-    parts = _run_chunks(stage, grid, seed, rho, n_paths, chunk, threads,
-                        _reads_aux(kernel))
+    parts = _run_chunks(stage, grid, seed, rho, n_paths, chunk, threads)
     t_vals = grid.nodes[t_nodes]
     slopes, expected, deviations, mean_squares = {}, {}, {}, {}
     for i in indices:
@@ -623,7 +603,7 @@ def ito_consistency_check(kernel: KernelSpec, config: core.IndexConfig,
         return out
 
     D = np.concatenate(_run_chunks(stage, grid, seed, rho, n_paths, chunk,
-                                   threads, _reads_aux(kernel)))
+                                   threads))
     rms = {cells: float(np.sqrt(np.mean(D[:, li] ** 2)))
            for li, cells in enumerate(coarse_cells)}
     coarsest, finest = coarse_cells[0], coarse_cells[-1]
@@ -785,8 +765,7 @@ def rde_convergence_check(sigma: SigmaFunction, f: VolFunction, rho: float,
         return out
 
     rel = np.concatenate(_run_chunks(stage, fine, seed, rho, n_paths, chunk,
-                                     threads, aux=False, stepped=True,
-                                     driver=False))
+                                     threads, stepped=True, driver=False))
     rms = {n_coarse: float(np.sqrt(np.mean(rel[:, 0] ** 2))),
            2 * n_coarse: float(np.sqrt(np.mean(rel[:, 1] ** 2)))}
     return RdeConvergenceReport(n_cells=(n_coarse, 2 * n_coarse), rms=rms,

@@ -12,9 +12,10 @@ import sys
 import numpy as np
 import pytest
 
-from parpath import __version__, analysis, binio, cli, rde
+from parpath import __version__, analysis, binio, cli, core, rde
 from parpath import config as config_mod
 from parpath.cli import main
+from parpath.rng import stream
 
 # The package exports the function integrate() under the module's name.
 integrate_mod = importlib.import_module("parpath.integrate")
@@ -219,13 +220,15 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
 
 
 def test_many_index_dimensions_exit_2(tmp_path, capsys):
-    # The index sets build (2001 level-1 indices); the lift then refuses
-    # e != 2 instead of recursing once per dimension.
+    # The lift is of the driver pair, e = 2, so no config sets another
+    # dimension: index.e is an unknown key, refused before any index set
+    # is built.
     cfg = _cfg(tmp_path, "kernel.H = 0.3\nindex.e = 2000\nindex.alpha = 0.5\n"
                          "index.beta = 0.29\n")
     assert main(["lift", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "e = 2000" in err
+    assert err.startswith("config error:")
+    assert "unknown config key: index.e" in err
     assert err.count("\n") == 1
 
 
@@ -294,6 +297,23 @@ def test_verify_reads_dump_and_rejects_truncation(tmp_path, capsys):
     dump.write_bytes(dump.read_bytes()[:-10])
     assert main(["verify", "--config", reread, "--out", str(tmp_path / "v2")]) == 2
     assert "truncated" in capsys.readouterr().err
+
+
+def test_verify_takes_the_dimension_of_a_dump(tmp_path):
+    # f is built on the dump's e coordinates, so an e = 3 lift verifies
+    # with no key naming its dimension.
+    grid = core.Grid(T=1.0, N=64)
+    idx = core.build_index_sets(0.45, 0.2, 3, d=1, T=grid.T)
+    t = grid.nodes
+    xhat = np.column_stack([np.sin(3.0 * t), t ** 0.3, t])
+    dx = np.sqrt(grid.delta) * stream(4, "test", 0).standard_normal(grid.N)
+    x = np.r_[0.0, np.cumsum(dx)][:, None]
+    dump = tmp_path / "e3.prp"
+    binio.write_prp(str(dump), core.lift_sampled_paths(xhat, x, idx, grid))
+    cfg = _cfg(tmp_path, SMALL_LIFT + f"verify.input = {dump}\n")
+    out = tmp_path / "v"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "verify.json").read_text())["chen"]["pass"]
 
 
 def test_integrate_trace_and_bounds(tmp_path):

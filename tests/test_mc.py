@@ -123,6 +123,8 @@ _BLOCKED = (core.Grid(T=1.0, N=1024), 250, 100, 13)  # grid, n_paths, chunk, see
 
 
 _EXP_F = ExponentialVol(0.3, (0.5, 0.2))
+_H_HALF = riemann_liouville(0.5, 0.01)
+_H_ROUGH = riemann_liouville(0.3, 0.01)
 _TANH = SigmaSmooth(np.tanh, lambda u: 1.0 / np.cosh(u) ** 2)
 # sigma(s) = s hands the loop its own state array back: a loop that
 # writes into what sigma returned would change the state it steps.
@@ -456,9 +458,9 @@ def _holding_workspace(held):
 _WORKING_SET_GRID = core.Grid(T=1.0, N=1024)  # N > 512: the FFT arrays count
 
 
-def _state_run(f, sigma):
+def _state_run(f, sigma, kernel=_H_ROUGH):
     return lambda count: simulate_state(
-        _H_ROUGH, f, sigma, -0.7, 1.0, _WORKING_SET_GRID, [1, 512, 1024],
+        kernel, f, sigma, -0.7, 1.0, _WORKING_SET_GRID, [1, 512, 1024],
         count, 2, chunk=count)
 
 
@@ -472,12 +474,13 @@ def _check_run(engine):
     _state_run(_EXP_F, SigmaConstant(0.7)),
     _state_run(ConstantVol(0.3), SigmaLinear(0.1, 0.5)),
     _state_run(_EXP_F, SigmaLinear(0.1, 0.5)),
+    _state_run(_EXP_F, SigmaConstant(0.7), kernel=_H_HALF),
     _check_run("moments"),
     _check_run("ito"),
     _check_run("rde"),
 ], ids=["constant-f-constant-sigma", "exponential-f-constant-sigma",
         "constant-f-stepped-sigma", "exponential-f-stepped-sigma",
-        "moments", "ito", "rde"])
+        "exponential-f-H-half", "moments", "ito", "rde"])
 def test_working_set_estimate_bounds_what_the_workspace_holds(monkeypatch,
                                                               run, count):
     # The guard's per-thread estimate is kept by hand; the bytes one
@@ -492,27 +495,44 @@ def test_working_set_estimate_bounds_what_the_workspace_holds(monkeypatch,
 
 
 def test_two_row_draw_is_the_prefix_of_the_three_row_draw():
-    # The stream fills a draw in order, so stopping after two rows
-    # leaves dW and dX with their bits, at odd shapes and inside a
-    # larger workspace buffer; the third row, drawn block by block as
-    # it is read, has the bits of the whole draw.
+    # The stream fills a draw in order, so a chunk that never reads its
+    # third row leaves dW and dX with their bits, at odd shapes and
+    # inside a larger workspace buffer; the third row, drawn block by
+    # block as it is read, has the bits of the whole draw.
     n, N = 37, 1000
     three = stream(5, "mc", 3).standard_normal((3, n, N))
     work = _Workspace()
     work.view("draw", (3, n + 4, N))
-    two = work.view("draw", (2, n, N))
-    stream(5, "mc", 3).standard_normal((2, n, N), out=two)
-    np.testing.assert_array_equal(two, three[:2])
 
     grid = core.Grid(T=1.0, N=N)
     dW3, dX3, aux3 = mc._draw_increments(5, 3, n, grid, -0.7)
-    dW2, dX2, aux2 = mc._draw_increments(5, 3, n, grid, -0.7, work,
-                                         with_aux=False)
+    dW2, dX2, _ = mc._draw_increments(5, 3, n, grid, -0.7, work)
     np.testing.assert_array_equal(dW2, dW3)
     np.testing.assert_array_equal(dX2, dX3)
-    assert aux2 is None
     for rows in (slice(0, 16), slice(16, 32), slice(32, n)):
         np.testing.assert_array_equal(aux3[rows], three[2][rows])
+
+
+@pytest.mark.parametrize("driver", [True, False], ids=["driver", "no-driver"])
+def test_draw_increments_have_the_bits_of_the_whole_draw(driver):
+    # dW drawn whole and the X normals in 16-path blocks give the dW and
+    # dX of the whole (3, n, N) draw, scaled as dX = rho dW + perp sq Z,
+    # at an n that ends on a partial block; with the driver dX has its
+    # own row, without it dX is formed in dW's rows and dW is not kept.
+    n, rho = 37, -0.7
+    grid = core.Grid(T=1.0, N=64)
+    three = stream(5, "mc", 3).standard_normal((3, n, grid.N))
+    sq = math.sqrt(grid.delta)
+    dW_whole = three[0] * sq
+    x = three[1] * sq
+    x *= math.sqrt(1.0 - rho ** 2)
+    dW, dX, aux = mc._draw_increments(5, 3, n, grid, rho, driver=driver)
+    np.testing.assert_array_equal(dX, x + rho * dW_whole)
+    if driver:
+        np.testing.assert_array_equal(dW, dW_whole)
+    else:
+        assert dW is None
+    np.testing.assert_array_equal(aux[0:n], three[2])
 
 
 def test_touching_cell_rows_must_be_read_in_order():
@@ -562,10 +582,6 @@ def test_touching_cell_blocks_are_the_whole_third_row(monkeypatch, engine,
     assert sorted(seen) == sorted(expected)
 
 
-_H_HALF = riemann_liouville(0.5, 0.01)
-_H_ROUGH = riemann_liouville(0.3, 0.01)
-
-
 @pytest.mark.parametrize("run, expected", [
     (lambda: simulate_state(_H_ROUGH, ConstantVol(0.3), SigmaLinear(0.0, 1.0),
                             -0.7, 1.0, core.Grid(T=1.0, N=64), [64], 20, 1,
@@ -592,8 +608,8 @@ _H_ROUGH = riemann_liouville(0.3, 0.01)
         "price-constant-f", "moments-H-half", "moments-H-rough", "ito-H-half",
         "ito-H-rough", "rde-convergence"])
 def test_chunks_draw_only_the_rows_they_read(monkeypatch, run, expected):
-    # Each stream's first draw is the (2, count, N) dW and X normals;
-    # over the chunk it draws rows * count * N normals in all.
+    # Each stream's first draw is the (count, N) dW, drawn whole; over
+    # the chunk it draws rows * count * N normals in all.
     streams = []
 
     class Recording:
@@ -610,7 +626,7 @@ def test_chunks_draw_only_the_rows_they_read(monkeypatch, run, expected):
     run()
     assert streams
     for rec in streams:
-        _, count, N = rec.first
+        count, N = rec.first[-2:]
         assert rec.normals == expected * count * N
 
 

@@ -275,3 +275,34 @@ def test_smile_needs_grid():
     prob = RateProblem(f=F_EXP, sigma0=1.0, rho=0.0, H=0.3, K=8)
     with pytest.raises(ConfigurationError):
         smile_curve(prob)
+
+
+# Near the money, I(z) = z^2 / (2 a^2) - rho f1 c_H z^3 / (sigma0^3 f0^4)
+# + O(z^4) with a = sigma0 f0, f0 = f(0), f1 = f'(0) and
+# c_H = 1 / Gamma(H + 5/2), so the smile's slope at 0 is
+# rho (f1 / f0) / Gamma(H + 5/2), whatever sigma0 and the level of f.
+# Tolerance, from an h and K study of the three configs below: the
+# Richardson values from h = (0.02, 0.01) and (0.01, 0.005) of the
+# at-the-money level agree within 1e-8, so h leaves no error; what
+# remains is the control grid's.  At K = 64 it is 1.6e-5, 1.2e-5 and
+# below 1e-9, and it falls about 3x per doubling of K (1.4e-6, 1.3e-6
+# and below 1e-9 at K = 256).  5e-5 is three times the largest; a
+# skew off by a factor Gamma(H + 5/2) or a sign misses by 0.1 or more.
+SKEW_TOL = 5e-5
+
+
+@pytest.mark.parametrize("H, rho, sigma0, f", [
+    (0.3, -0.7, 1.0, ExponentialVol(0.2, (1.0, 0.0))),
+    (0.1, 0.3, 2.0, ExponentialVol(0.5, (0.5, 0.0))),
+    (0.5, -0.5, 0.7, ExponentialVol(1.0, (-1.5, 0.0))),
+], ids=["H-0.3", "H-0.1", "H-0.5"])
+def test_smile_skew_matches_the_closed_form(H, rho, sigma0, f):
+    atm = sigma0 * f.xi
+    hs = (0.01 * atm, 0.005 * atm)
+    prob = RateProblem(f=f, sigma0=sigma0, rho=rho, H=H, K=64, restarts=2,
+                       z_grid=tuple(z for h in hs for z in (-h, h)))
+    sig = [pt.sigma_asym for pt in smile_curve(prob)]
+    central = [(sig[1] - sig[0]) / (2 * hs[0]), (sig[3] - sig[2]) / (2 * hs[1])]
+    skew = central[1] + (central[1] - central[0]) / 3.0  # error O(h^2) gone
+    closed = rho * f.coeffs[0] / math.gamma(H + 2.5)
+    assert skew == pytest.approx(closed, abs=SKEW_TOL)
