@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 
 from .exceptions import ConfigurationError
 
@@ -191,14 +192,23 @@ def make_kernel(cfg: RunConfig):
     return lift.riemann_liouville(cfg["kernel.H"], delta=cfg["kernel.delta"])
 
 
+def _finite(keys: str, *values: float) -> None:
+    """Refuse model parameters that are not finite, before anything reads them."""
+    if not all(map(math.isfinite, values)):
+        raise ConfigurationError(f"{keys} must be finite, got {list(values)}")
+
+
 def make_volfn(cfg: RunConfig, e: int = 2):
     """The ``vol.*`` function on ``e`` coordinates, those of the lift it
     is integrated against."""
     from . import volfn
     family = cfg["vol.family"].lower()
     if family == "constant":
+        _finite("vol.value", cfg["vol.value"])
         return volfn.ConstantVol(cfg["vol.value"], e=e)
     if family == "exponential":
+        _finite("vol.xi, vol.eta and vol.c", cfg["vol.xi"], cfg["vol.eta"],
+                cfg["vol.c"])
         exps = ([cfg["vol.eta"], cfg["vol.c"]] + [0.0] * e)[:e]
         return volfn.ExponentialVol(cfg["vol.xi"], tuple(exps))
     raise ConfigurationError(
@@ -209,20 +219,18 @@ def make_sigma(cfg: RunConfig):
     from . import rde
     family = cfg["model.sigma.family"].lower()
     params = cfg["model.sigma.params"]
-    if family == "constant":
-        if len(params) != 1:
-            raise ConfigurationError(
-                "model.sigma.params must hold exactly one value (c) for the "
-                f"constant family, got {len(params)}")
-        return rde.SigmaConstant(params[0])
-    if family == "linear":
-        if len(params) != 2:
-            raise ConfigurationError(
-                "model.sigma.params must hold exactly two values (a, b) for "
-                f"the linear family, got {len(params)}")
-        return rde.SigmaLinear(params[0], params[1])
-    raise ConfigurationError(
-        f"model.sigma.family must be constant or linear, got {family!r}")
+    families = {"constant": (rde.SigmaConstant, 1, "one value (c)"),
+                "linear": (rde.SigmaLinear, 2, "two values (a, b)")}
+    if family not in families:
+        raise ConfigurationError(
+            f"model.sigma.family must be constant or linear, got {family!r}")
+    cls, n_params, wanted = families[family]
+    if len(params) != n_params:
+        raise ConfigurationError(
+            f"model.sigma.params must hold exactly {wanted} for the "
+            f"{family} family, got {len(params)}")
+    _finite("model.sigma.params", *params)
+    return cls(*params)
 
 
 def make_rate_problem(cfg: RunConfig):

@@ -32,15 +32,18 @@ Convolution, vol function and cumulative levels run on row blocks of
 no fresh pages, however large the chunk.  Every stage is row-wise, so
 blocking changes no bit.  The convolution weights and the
 kernel's spectrum are computed once per call, not once per block.
-Constant sigma telescopes to the first level and the second level is
-never formed.  Any other sigma is stepped in node segments of 64
-(:func:`_step_segments`): the row blocks write f's values over the dW
-rows that the driver has read, and each segment copies its slice of
-dX and of f's values node-major, forms both levels by cumulative sums
-that carry on from the segment before, and resumes the stepper from
-its carried state, keeping only the snapshot nodes.  The stepper's
-Python loop costs the same at any width, so a segment spans the whole
-chunk.
+Each block forms f's values once, from the driver, or as the float
+``f.c`` for constant f; every running sum of weighted increments (the
+first level, the driver X, the monomial levels) comes from
+:func:`_levels_batch`.  Constant sigma telescopes to the first level
+and the second level is never formed.  Any other sigma is stepped in
+node segments of 64 (:func:`_step_segments`): the row blocks write
+f's values over the dW rows that the driver has read, and the stepper
+reads the chunk's dX rows and f's values, copies each segment's slice
+of them node-major, forms both levels by cumulative sums that carry
+on from the segment before, and resumes from its carried state,
+keeping only the snapshot nodes.  The stepper's Python loop costs the
+same at any width, so a segment spans the whole chunk.
 
 Before any draw, the runner checks that the worker threads'
 workspaces, with the draw rows they make, fit in physical memory, and
@@ -274,12 +277,13 @@ def _driver_xhat(dW, aux, rows, kernel: KernelSpec, grid: core.Grid,
     return xhat
 
 
-def _levels_batch(f: VolFunction, xhat, dX, work: _Workspace) -> np.ndarray:
-    """Finest-grid first integral level for stacked paths, (B, N+1).
+def _levels_batch(fv, dX, work: _Workspace) -> np.ndarray:
+    """Running sums of ``fv * dX`` along the rows, (B, N+1) from 0.
 
-    A view into ``work`` that the next call overwrites.
+    ``fv`` is an array like ``dX`` or a float: f's values give the
+    finest-grid first integral level, 1.0 the driver path itself.  A
+    view into ``work`` that the next call overwrites.
     """
-    fv = f.value(xhat)[:, :-1]
     B, N = dX.shape
     contrib = np.multiply(fv, dX, out=work.view("contrib", (B, N)))
     y1 = work.view("y1", (B, N + 1))
@@ -298,60 +302,64 @@ def _carried_cumsum(terms, level, first: bool):
 
     Row 0 of ``level`` holds the carry, the sum up to the segment, and
     row k becomes row k-1 plus term k-1, the additions of one
-    ``np.cumsum`` along the whole grid; on the ``first`` segment the sum
-    starts at term 0 itself, as ``np.cumsum`` does.  Row by row, since
-    ``np.cumsum`` down the rows walks one column at a time, about four
-    times slower.
+    ``np.cumsum`` along the whole grid; on the ``first`` segment row 0
+    is set to 0 and the sum starts at term 0 itself, as ``np.cumsum``
+    does.  Row by row, since ``np.cumsum`` down the rows walks one
+    column at a time, about four times slower.
     """
     start = 1
     if first:
+        level[0] = 0.0
         level[1] = terms[0]
         start = 2
     for k in range(start, len(level)):
         np.add(level[k - 1], terms[k - 1], out=level[k])
 
 
-def _node_major(rows, out, work: _Workspace):
-    """Copy ``rows`` (B, L), a slice of a chunk's rows, into ``out`` (L, B).
+def _node_major(rows, name: str, work: _Workspace) -> np.ndarray:
+    """``rows`` (B, L), a slice of a chunk's rows, copied into the (L, B)
+    array ``name`` of ``work``, which is returned.
 
     Through a compact copy: transposing straight out of the chunk reads
     one page per path for every node and runs about twice as slow.
     """
     compact = work.view("seg_rows", rows.shape)
     compact[...] = rows
+    out = work.view(name, compact.T.shape)
     out[...] = compact.T
+    return out
 
 
-def _step_segments(cells, n_cells: int, count: int, sigma: SigmaFunction,
-                   s0: float, keep, delta: float, cell_correction: bool,
+def _step_segments(dX, fv, sigma: SigmaFunction, s0: float, keep,
+                   delta: float, cell_correction: bool,
                    work: _Workspace) -> np.ndarray:
-    """Sbar at the nodes ``keep`` of ``count`` paths, (len(keep), count).
+    """Sbar at the nodes ``keep`` of the chunk's paths, (len(keep), count).
 
-    Walks the cells in node segments of ``_NODE_SEGMENT``.
-    ``cells(lo, hi, dx)`` writes the increments dX of cells [lo, hi),
-    node-major, into ``dx`` and returns f's values on those cells: an
-    array like ``dx``, or a float for constant f.  Each segment forms
+    ``dX`` holds the chunk's increments, (count, n_cells), and ``fv``
+    f's values on the same cells: an array like ``dX``, or a float for
+    constant f.  Walks the cells in node segments of ``_NODE_SEGMENT``,
+    copying each segment's slice of both node-major.  Each segment forms
     both integral levels by cumulative sums along the nodes, starting
     from the last node of the one before, then its cell increments by
     :func:`_cell_increments`, and :func:`_step_nodes` resumes from the
     carried state.  Every bit is that of the whole chunk's levels,
     increments and stepping.
     """
+    count, n_cells = dX.shape
     out = np.empty((len(keep), count))
     u = np.zeros(count)
     for lo in range(0, n_cells, _NODE_SEGMENT):
         hi = min(lo + _NODE_SEGMENT, n_cells)
         shape = (hi - lo, count)
-        dx = work.view("seg_dx", shape)
-        fv = cells(lo, hi, dx)
-        contrib = np.multiply(fv, dx, out=work.view("seg_contrib", shape))
+        dx = _node_major(dX[:, lo:hi], "seg_dx", work)
+        f_seg = fv
+        if isinstance(fv, np.ndarray):
+            f_seg = _node_major(fv[:, lo:hi], "seg_fv", work)
+        contrib = np.multiply(f_seg, dx, out=work.view("seg_contrib", shape))
         # Row 0 of each level holds the carry: 0 at node 0, else the
         # last row of the segment before, moved there below.
         y1 = work.view("seg_y1", (hi - lo + 1, count))
         y2 = work.view("seg_y2", (hi - lo + 1, count))
-        if lo == 0:
-            y1[0] = 0.0
-            y2[0] = 0.0
         _carried_cumsum(contrib, y1, lo == 0)
         cells2 = np.multiply(y1[:-1], contrib,
                              out=work.view("seg_cells2", shape))
@@ -360,7 +368,7 @@ def _step_segments(cells, n_cells: int, count: int, sigma: SigmaFunction,
             t = np.square(dx, out=work.view("seg_dx2", shape))
             t -= delta
             t *= 0.5
-            v = np.square(fv, out=contrib)  # contrib is not read again
+            v = np.square(f_seg, out=contrib)  # contrib is not read again
             v *= t
             cells2 += v
         _carried_cumsum(cells2, y2, lo == 0)
@@ -381,47 +389,35 @@ def _run_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
     ``reduce``, each chunk's (S, X), X the driver at the same nodes.
 
     Each stage before the stepper works row by row, so it runs on row
-    blocks in the call's workspace.  A stepped sigma then walks the
-    chunk in node segments (:func:`_step_segments`): the row blocks
-    write f's values over the dW rows that the driver has read, and
-    constant f keeps no dW at all.
+    blocks in the call's workspace.  Each block forms f's values once:
+    ``float(f.c)`` for constant f, which never reads the driver and
+    keeps no dW at all.  A stepped sigma then walks the chunk in node
+    segments (:func:`_step_segments`), which read the chunk's dX rows
+    and f's values, written over the dW rows that the driver has read.
     """
     stepped = not isinstance(sigma, SigmaConstant)  # else y2 is never read
     const_f = isinstance(f, ConstantVol)  # the driver is never read
     with_x = reduce is None
-    N = grid.N
 
     def stage(count, dW, dX, normals, work):
         X = np.empty((count, snaps.size)) if with_x else None
         S = None if stepped else np.empty((count, snaps.size))
         for rows in _row_blocks(count):
-            if not const_f:
-                xhat = _driver_xhat(dW, normals, rows, kernel, grid, work)
-            elif not stepped:  # f never reads it
-                xhat = work.view("xhat", (rows.stop - rows.start, N + 1, 2))
+            fv = float(f.c) if const_f else f.value(
+                _driver_xhat(dW, normals, rows, kernel, grid, work))[:, :-1]
             if not stepped:
-                b1 = _levels_batch(f, xhat, dX[rows], work)
+                b1 = _levels_batch(fv, dX[rows], work)
                 # Elementwise, so only the snapshot columns are formed.
                 S[rows] = _state_from_levels(b1[:, snaps], sigma, s0)
             elif not const_f:
                 # The driver has read these dW rows: they now hold f.
-                dW[rows] = f.value(xhat)[:, :-1]
+                dW[rows] = fv
             if with_x:
-                path = work.view("x", (rows.stop - rows.start, N + 1))
-                path[:, 0] = 0.0
-                np.cumsum(dX[rows], axis=1, out=path[:, 1:])
-                X[rows] = path[:, snaps]
+                X[rows] = _levels_batch(1.0, dX[rows], work)[:, snaps]
         if stepped:
-            def segment(lo, hi, dx):
-                _node_major(dX[:, lo:hi], dx, work)
-                if const_f:
-                    return float(f.c)
-                fv = work.view("seg_fv", dx.shape)
-                _node_major(dW[:, lo:hi], fv, work)  # f's values
-                return fv
-
-            S = s0 + _step_segments(segment, N, count, sigma, s0, snaps,
-                                    grid.delta, cell_correction, work).T
+            S = s0 + _step_segments(dX, float(f.c) if const_f else dW, sigma,
+                                    s0, snaps, grid.delta, cell_correction,
+                                    work).T
         return (S, X) if with_x else reduce(S)
 
     return _run_chunks(stage, grid, seed, rho, n_paths, chunk, threads,
@@ -521,8 +517,8 @@ def moment_scaling_check(kernel: KernelSpec, grid: core.Grid, rho: float,
             for i in indices:
                 w = (xhat[:, :-1, 0] ** i[0]) * (xhat[:, :-1, 1] ** i[1]) \
                     / core.midx_factorial(i)
-                a = np.cumsum(w * dX[rows], axis=1)
-                squares[i][rows] = a[:, t_nodes - 1] ** 2
+                a = _levels_batch(w, dX[rows], work)
+                squares[i][rows] = a[:, t_nodes] ** 2
         # One sum per chunk: per-block sums would add in another order.
         return {i: np.sum(sq, axis=0) for i, sq in squares.items()}
 
@@ -592,7 +588,7 @@ def ito_consistency_check(kernel: KernelSpec, config: core.IndexConfig,
         for b in range(count):
             xhat = _driver_xhat(dW, normals, slice(b, b + 1), kernel, grid,
                                 work)[0]
-            x = np.concatenate([[0.0], np.cumsum(dX[b])])
+            x = _levels_batch(1.0, dX[b:b + 1], work)[0]
             prp = core.lift_sampled_paths(xhat, x[:, None], config, grid)
             for li, cells in enumerate(coarse_cells):
                 part = np.arange(cells + 1, dtype=np.int64) * (fine_cells // cells)
@@ -606,6 +602,8 @@ def ito_consistency_check(kernel: KernelSpec, config: core.IndexConfig,
                                    threads))
     rms = {cells: float(np.sqrt(np.mean(D[:, li] ** 2)))
            for li, cells in enumerate(coarse_cells)}
+    if not all(map(math.isfinite, rms.values())):  # f overflowed on the paths
+        raise ConfigurationError("compensated sums and their RMS must be finite")
     coarsest, finest = coarse_cells[0], coarse_cells[-1]
     if rms[coarsest] == 0.0:
         ratio = 0.0
@@ -742,24 +740,17 @@ def rde_convergence_check(sigma: SigmaFunction, f: VolFunction, rho: float,
     def stage(count, dW, dX, normals, work):
         out = np.empty((count, 2))
         X_T = np.empty(count)
-        for res, g in enumerate((coarse, fine)):
-            pairs = g is coarse  # each coarse cell sums two fine cells
-
-            def segment(lo, hi, dx):
-                if pairs:
-                    dx[...] = dX[:, 2 * lo:2 * hi].reshape(
-                        count, hi - lo, 2).sum(axis=2).T
-                else:
-                    _node_major(dX[:, lo:hi], dx, work)
-                return float(f.c)
-
+        # The fine mesh first; then each coarse cell sums two fine cells,
+        # folded into the first n_coarse columns of dX.
+        for res, g in ((1, fine), (0, coarse)):
             for rows in _row_blocks(count):
                 inc = dX[rows]
-                if pairs:
+                if g is coarse:
                     inc = inc.reshape(-1, n_coarse, 2).sum(axis=2)
+                    dX[rows, :n_coarse] = inc
                 X_T[rows] = np.sum(inc, axis=1)
-            S = s0 + _step_segments(segment, g.N, count, sigma, s0, [g.N],
-                                    g.delta, True, work)[0]
+            S = s0 + _step_segments(dX[:, :g.N], float(f.c), sigma, s0,
+                                    [g.N], g.delta, True, work)[0]
             exact = s0 * np.exp(m * X_T - 0.5 * m ** 2)
             out[:, res] = (S - exact) / exact
         return out

@@ -70,8 +70,9 @@ class RateProblem:
         if not -1.0 < self.rho < 1.0:
             raise ConfigurationError(
                 f"rho must lie strictly inside (-1, 1), got {self.rho}")
-        if not self.sigma0 > 0:
-            raise ConfigurationError(f"sigma0 must be positive, got {self.sigma0}")
+        if not (self.sigma0 > 0 and math.isfinite(self.sigma0 * self.sigma0)):
+            raise ConfigurationError(
+                f"sigma0 must be positive with a finite square, got {self.sigma0}")
         if not (0.0 < self.H <= 0.5):
             raise ConfigurationError(f"H must lie in (0, 1/2], got {self.H}")
         if not (isinstance(self.K, (int, np.integer)) and self.K >= 2):

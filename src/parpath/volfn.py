@@ -102,7 +102,7 @@ class ExponentialVol(VolFunction):
         i = self._check_index(i)
         scale = 1.0
         for c, k in zip(self.coeffs, i):
-            scale *= c ** k
+            scale *= np.float64(c) ** k  # overflows to inf, not OverflowError
         return scale
 
     def partial(self, i, x):

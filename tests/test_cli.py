@@ -792,3 +792,69 @@ def test_console_script_smoke(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (out / "manifest.json").exists()
+
+
+MODEL_RUN = """
+index.alpha = 0.45
+index.beta = 0.2
+grid.N = 8
+kernel.H = 0.3
+corr.rho = -0.5
+model.n_paths = 2
+mc.t_values = 0.25, 0.5, 0.75, 1.0
+"""
+# Config lines that set one model parameter to {v}; the vol.* keys are
+# read by every run below, model.sigma.params by all but ito.
+_VOL_LINES = ["vol.family = constant\nvol.value = {v}", "vol.xi = {v}",
+              "vol.eta = {v}", "vol.c = {v}"]
+_SIGMA_LINES = ["model.sigma.family = constant\nmodel.sigma.params = {v}",
+                "model.sigma.params = 0.0, {v}"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("run, line", [
+    (run, line) for run in ("price", "ldp", "ito", "rde")
+    for line in _VOL_LINES + (_SIGMA_LINES if run != "ito" else [])])
+def test_non_finite_model_parameters_exit_2_before_sampling(
+        tmp_path, capsys, monkeypatch, run, line, value):
+    # NaN sigma used to price nine NaN rows with exit 0, and a NaN vol.xi
+    # wrote "statistic": NaN (not JSON) under ito, exit 3 under price.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled a model with a non-finite parameter")
+
+    monkeypatch.setattr(cli.mc, "stream", no_draw)
+    monkeypatch.setattr(cli.lift_mod, "stream", no_draw)
+    text = MODEL_RUN + line.format(v=value) + "\n"
+    argv = ["rde"] if run == "rde" else ["mc"]
+    if run != "rde":
+        text += f"mc.check = {run}\n"
+    out = tmp_path / "x"
+    assert main(argv + ["--config", _cfg(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "must be finite" in err
+    assert not (out / "mc_summary.json").exists()
+
+
+@pytest.mark.parametrize("command, line", [
+    ("verify", "vol.eta = 1e200"), ("verify", "vol.c = 1e200"),
+    ("integrate", "vol.eta = 1e200"), ("integrate", "vol.c = 1e200"),
+    ("rde", "vol.eta = 1e200"), ("rde", "vol.c = 1e200"),
+    ("rate", "model.sigma.family = constant\nmodel.sigma.params = 1e155"),
+    ("rate", "model.S0 = 1e300"),
+    ("smile", "model.sigma.family = constant\nmodel.sigma.params = 1e155"),
+    ("smile", "model.S0 = 1e300"),
+    ("mc", "mc.check = ito\nmc.n_paths = 1\nvol.eta = 1e200"),
+    ("mc", "mc.check = ito\nmc.n_paths = 1\nvol.xi = 1e200")])
+def test_huge_finite_model_parameters_exit_2(tmp_path, capsys, command, line):
+    # c ** k on Python floats raised OverflowError in the vol function's
+    # partials, and so did sigma0 ** 2 in the rate objective: a traceback.
+    # Past that, ito's compensated sums or their squares overflowed into
+    # a NaN statistic, written to mc_summary.json with exit 0.
+    text = MODEL_RUN + "verify.triples = 20\nrate.K = 8\nrate.restarts = 1\n"
+    cfg = _cfg(tmp_path, text + line + "\n")
+    with np.errstate(all="ignore"):
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1

@@ -138,6 +138,50 @@ def test_node_variance_matches_kernel_l2():
         assert abs(np.var(paths[:, q]) - target) <= 0.03 * target
 
 
+# (H, T, N) of the exact second-moment checks: rough to constant
+# kernels, an odd N, and N = 1024.
+_MOMENT_GRIDS = [(0.1, 1.0, 64), (0.3, 1.0, 1024), (0.3, 0.5, 513),
+                 (0.45, 1.0, 256), (0.5, 1.0, 128)]
+
+
+def _unit_responses(spec, grid):
+    """(A, B): row j of A is the path of dW = e_j with aux = 0, row j of
+    B that of aux = e_j with dW = 0.  The scheme is linear in both, so
+    its paths are ``dW @ A + aux @ B``."""
+    eye, zero = np.eye(grid.N), np.zeros((grid.N, grid.N))
+    return (volterra_convolve_batch(eye, zero, spec, grid),
+            volterra_convolve_batch(zero, eye, spec, grid))
+
+
+@pytest.mark.parametrize("H, T, N", _MOMENT_GRIDS)
+def test_hybrid_node_variance_is_exact(H, T, N):
+    # dW_j ~ N(0, delta) and aux_j ~ N(0, 1), all independent, so
+    # Var(xhat_n) = delta |A e_n|^2 + |B e_n|^2.  The touching cell
+    # carries Q(delta) exactly and cell k >= 2 the squared cell average
+    # w_k^2 delta, w_k built here from the antiderivative alone.
+    spec, grid = riemann_liouville(H, delta=0.01), Grid(T=T, N=N)
+    A, B = _unit_responses(spec, grid)
+    var = grid.delta * np.sum(A ** 2, axis=0) + np.sum(B ** 2, axis=0)
+    w = np.diff(kernel_antideriv(spec, grid.nodes)) / grid.delta
+    lags = np.concatenate([[0.0], np.cumsum(w[1:] ** 2)])  # k = 2..n
+    want = float(kernel_sq_antideriv(spec, grid.delta)) + grid.delta * lags
+    assert var[0] == 0.0
+    np.testing.assert_allclose(var[1:], want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("H, T, N", _MOMENT_GRIDS)
+def test_hybrid_covariance_with_w_is_exact(H, T, N):
+    # Cov(xhat_n, W_n) = delta sum_{j < n} A[j, n] = int_0^{t_n} kappa:
+    # the touching cell's mean coefficient and the cell averages add up
+    # to the antiderivative at the node.
+    spec, grid = riemann_liouville(H, delta=0.01), Grid(T=T, N=N)
+    A, _ = _unit_responses(spec, grid)
+    cov = grid.delta * np.sum(A, axis=0)
+    assert cov[0] == 0.0
+    np.testing.assert_allclose(cov[1:], kernel_antideriv(spec, grid.nodes[1:]),
+                               rtol=1e-12, atol=0.0)
+
+
 def test_convolution_batch_validation():
     grid = Grid(T=1.0, N=8)
     spec = riemann_liouville(0.3, delta=0.01)

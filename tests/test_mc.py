@@ -137,8 +137,9 @@ _IDENTITY = SigmaSmooth(fn=lambda x: x, dfn=np.ones_like)
     (ConstantVol(0.3), SigmaLinear(0.0, 1.0)),
     (ConstantVol(0.3), _TANH),
     (_EXP_F, _IDENTITY),
+    (ConstantVol(0.3), SigmaConstant(0.7)),
 ], ids=["constant", "linear", "constant-f-linear", "constant-f-smooth",
-        "identity"])
+        "identity", "constant-f-constant-sigma"])
 def test_blocked_engine_is_bit_identical_to_whole_chunks(f, sigma):
     kernel = riemann_liouville(0.1, 0.01)
     grid, n_paths, chunk, seed = _BLOCKED
