@@ -300,14 +300,14 @@ def _mc_moments(cfg, run, threads: int):
 
 
 def _mc_ito(cfg, run, threads: int):
+    grid = config_mod.make_grid(cfg)
     idxcfg = config_mod.make_index_config(cfg)
     kernel = config_mod.make_kernel(cfg)
     f = config_mod.make_volfn(cfg)
-    chunk = min(cfg["mc.chunk"], 8)  # per-path lifts at 2^16 nodes are large
-    report = mc.ito_consistency_check(kernel, idxcfg, f, cfg["corr.rho"],
+    chunk = min(cfg["mc.chunk"], 8)  # part of the sampling definition
+    report = mc.ito_consistency_check(kernel, idxcfg, f, cfg["corr.rho"], grid,
                                       cfg["mc.n_paths"], cfg["rng.seed"],
-                                      T=cfg["grid.T"], threads=threads,
-                                      chunk=chunk)
+                                      threads=threads, chunk=chunk)
     rows = [(c, report.rms[c]) for c in report.coarse_cells]
     _write_csv(run.path("ito.csv"), ["n_cells", "rms"], rows)
     # A zero coarse RMS (constant f) means no higher-order mass was

@@ -294,17 +294,12 @@ def volterra_convolve(bundle: BrownianBundle, spec: KernelSpec) -> np.ndarray:
     return volterra_convolve_batch(dW[None, :], bundle.aux[None, :], spec, bundle.grid)[0]
 
 
-def build_lift(bundle: BrownianBundle, spec: KernelSpec, config: core.IndexConfig,
-               cell_correction: bool = True) -> core.PartialRoughPath:
-    """Left-point lift of the simulated driver pair.
+def check_driver_pair(spec: KernelSpec, config: core.IndexConfig) -> None:
+    """Refuse index sets that the scalar driver pair cannot be lifted to.
 
-    The smooth component is ``(convolution path, t^zeta)`` so the
-    configured ``e`` must be 2 and ``beta <= zeta`` must hold (the
-    second component has no more regularity to give).  With
-    ``cell_correction`` on (the default), level-2 cells carry the exact
-    Brownian in-cell term, which sharpens downstream second-order
-    schemes by one weak order; the splitting identities remain exact
-    either way.
+    The smooth component is ``(convolution path, t^zeta)``, so the
+    configured ``e`` must be 2, ``d`` must be 1 and ``beta <= zeta``
+    must hold (the second component has no more regularity to give).
     """
     if config.e != 2:
         raise ConfigurationError(f"driver pair has e = 2 components, config has e = {config.e}")
@@ -313,6 +308,19 @@ def build_lift(bundle: BrownianBundle, spec: KernelSpec, config: core.IndexConfi
     if config.beta > spec.zeta:
         raise ConfigurationError(
             f"beta = {config.beta} exceeds the kernel regularity zeta = {spec.zeta}")
+
+
+def build_lift(bundle: BrownianBundle, spec: KernelSpec, config: core.IndexConfig,
+               cell_correction: bool = True) -> core.PartialRoughPath:
+    """Left-point lift of the simulated driver pair.
+
+    ``config`` must suit the driver pair (:func:`check_driver_pair`).
+    With ``cell_correction`` on (the default), level-2 cells carry the
+    exact Brownian in-cell term, which sharpens downstream second-order
+    schemes by one weak order; the splitting identities remain exact
+    either way.
+    """
+    check_driver_pair(spec, config)
     grid = bundle.grid
     xhat = np.column_stack([
         volterra_convolve(bundle, spec),

@@ -70,7 +70,8 @@ from . import core
 from .black_scholes import call_price, implied_vol
 from .exceptions import ConfigurationError, InsufficientDataError, NumericalError
 from .integrate import compensated_sum_level1
-from .lift import KernelSpec, _Workspace, volterra_convolve_batch
+from .lift import (KernelSpec, _Workspace, check_driver_pair,
+                   volterra_convolve_batch)
 from .rate import RateProblem, minimize_rate
 from .rde import (SigmaConstant, SigmaFunction, SigmaLinear, _cell_increments,
                   _step_nodes)
@@ -80,6 +81,8 @@ from .volfn import ConstantVol, VolFunction
 DEFAULT_CHUNK = 1024
 MOMENTS_TOL = 0.05  # largest slope deviation that passes the moments check
 ITO_MAX_RATIO = 0.5  # largest RMS ratio that passes the ito check
+# The moments check's indices (power of the convolution path, of t^zeta).
+MOMENT_INDICES = ((0, 0), (1, 0), (0, 1))
 # Paths per row block inside a chunk: one block's (16, N) arrays are
 # 0.5 MB at N = 4096, where a whole chunk's are 33 MB each.  Every stage
 # before the stepper is row-wise, so the block size changes no bit.
@@ -424,15 +427,6 @@ def _run_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
                        stepped, driver=not const_f)
 
 
-def _whole_nodes(values, what: str) -> np.ndarray:
-    """Grid nodes as int64, refusing any value that is not a whole number."""
-    nodes = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(nodes) & (nodes == np.round(nodes))):
-        raise ConfigurationError(
-            f"{what} must be whole numbers, got {nodes.tolist()}")
-    return nodes.astype(np.int64)
-
-
 def simulate_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
                    rho: float, s0: float, grid: core.Grid, snapshots,
                    n_paths: int, seed: int, threads: int = 1,
@@ -444,7 +438,10 @@ def simulate_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
     nodes = np.asarray(snapshots, dtype=np.float64)
     if nodes.ndim != 1 or nodes.size == 0:
         raise ConfigurationError("need at least one snapshot node")
-    nodes = _whole_nodes(nodes, "snapshot nodes")
+    if not np.all(np.isfinite(nodes) & (nodes == np.round(nodes))):
+        raise ConfigurationError(
+            f"snapshot nodes must be whole numbers, got {nodes.tolist()}")
+    nodes = nodes.astype(np.int64)
     if nodes.min() < 0 or nodes.max() > grid.N:
         raise ConfigurationError("snapshot nodes out of range")
 
@@ -453,6 +450,20 @@ def simulate_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
     S = np.concatenate([p[0] for p in parts])
     X = np.concatenate([p[1] for p in parts])
     return S, X
+
+
+def _dyadic_nodes(grid: core.Grid) -> np.ndarray:
+    """The nodes N >> 6, ..., N >> 1, N of ``grid``, ascending.
+
+    The moments check fits its slopes at them, and the ito check cuts
+    the grid into N/64, N/16 and N/4 cells.  N must be divisible by 64,
+    so that each is a whole node, and at least 128, so that the first
+    is node 2 or later: at node 1 every index with |i| >= 1 is 0.
+    """
+    if grid.N % 64 or grid.N < 128:
+        raise ConfigurationError(
+            f"grid.N must be divisible by 64 and at least 128, got {grid.N}")
+    return np.array([grid.N >> k for k in range(6, -1, -1)])
 
 
 # ---------------------------------------------------------------------------
@@ -477,44 +488,25 @@ class MomentScalingReport:
 
 
 def moment_scaling_check(kernel: KernelSpec, grid: core.Grid, rho: float,
-                         n_paths: int, seed: int, indices=None, t_nodes=None,
-                         threads: int = 1, chunk: int = DEFAULT_CHUNK,
-                         ) -> MomentScalingReport:
-    """Regress log E|level-1 value|^2 against log t for small indices.
+                         n_paths: int, seed: int, threads: int = 1,
+                         chunk: int = DEFAULT_CHUNK) -> MomentScalingReport:
+    """Regress log E|level-1 value|^2 against log t for the MOMENT_INDICES.
 
     Every index scales like ``t^(2 |i| zeta + 1)`` up to the kernel's
     regularity gap: a measured slope passes within MOMENTS_TOL of it.
-    Indices are pairs (power of the convolution path, power of t^zeta).
-    An index with ``|i| >= 1`` is 0 at node 1, so it needs t nodes >= 2.
+    The slopes are fitted at the nodes of :func:`_dyadic_nodes`.
     """
     _check_rho(rho)
-    if indices is None:
-        indices = ((0, 0), (1, 0), (0, 1))
-    indices = tuple(tuple(i) for i in indices)
-    if not indices:
-        raise ConfigurationError("need at least one index")
-    if t_nodes is None:
-        if grid.N % 64 or grid.N < 128:
-            raise ConfigurationError(
-                "default t grid needs N divisible by 64 and at least 128")
-        t_nodes = [grid.N >> k for k in range(7)]
-    t_nodes = np.unique(_whole_nodes(t_nodes, "t nodes"))
-    if t_nodes.size < 2:
-        raise ConfigurationError("a slope needs at least two distinct t nodes")
-    if t_nodes[0] < 1 or t_nodes[-1] > grid.N:
-        raise ConfigurationError("t nodes out of range")
-    if t_nodes[0] < 2 and any(core.midx_degree(i) >= 1 for i in indices):
-        raise ConfigurationError(
-            "an index with |i| >= 1 has zero moments at node 1: t nodes must be >= 2")
+    t_nodes = _dyadic_nodes(grid)
 
     def stage(count, dW, dX, normals, work):
         # Column-major, the layout the fancy-indexed squares of a whole
         # chunk had, so np.sum below adds in the same (pairwise) order.
         squares = {i: np.empty((count, t_nodes.size), order="F")
-                   for i in indices}
+                   for i in MOMENT_INDICES}
         for rows in _row_blocks(count):
             xhat = _driver_xhat(dW, normals, rows, kernel, grid, work)
-            for i in indices:
+            for i in MOMENT_INDICES:
                 w = (xhat[:, :-1, 0] ** i[0]) * (xhat[:, :-1, 1] ** i[1]) \
                     / core.midx_factorial(i)
                 a = _levels_batch(w, dX[rows], work)
@@ -525,7 +517,7 @@ def moment_scaling_check(kernel: KernelSpec, grid: core.Grid, rho: float,
     parts = _run_chunks(stage, grid, seed, rho, n_paths, chunk, threads)
     t_vals = grid.nodes[t_nodes]
     slopes, expected, deviations, mean_squares = {}, {}, {}, {}
-    for i in indices:
+    for i in MOMENT_INDICES:
         total = np.zeros(t_nodes.size)
         for p in parts:
             total = total + p[i]
@@ -538,10 +530,10 @@ def moment_scaling_check(kernel: KernelSpec, grid: core.Grid, rho: float,
         expected[i] = exp_slope
         deviations[i] = abs(slope - exp_slope)
         mean_squares[i] = ms
-    return MomentScalingReport(indices=indices, slopes=slopes, expected=expected,
-                               deviations=deviations, t_values=t_vals,
-                               mean_squares=mean_squares, n_paths=n_paths,
-                               seed=seed, tol=MOMENTS_TOL)
+    return MomentScalingReport(indices=MOMENT_INDICES, slopes=slopes,
+                               expected=expected, deviations=deviations,
+                               t_values=t_vals, mean_squares=mean_squares,
+                               n_paths=n_paths, seed=seed, tol=MOMENTS_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -561,27 +553,22 @@ class ItoConsistencyReport:
 
 
 def ito_consistency_check(kernel: KernelSpec, config: core.IndexConfig,
-                          f: VolFunction, rho: float, n_paths: int, seed: int,
-                          coarse_cells=(1 << 10, 1 << 12, 1 << 14),
-                          fine_cells: int = 1 << 16, T: float = 1.0,
-                          threads: int = 1, chunk: int = 8) -> ItoConsistencyReport:
+                          f: VolFunction, rho: float, grid: core.Grid,
+                          n_paths: int, seed: int, threads: int = 1,
+                          chunk: int = 8) -> ItoConsistencyReport:
     """Higher-order mass of the compensated sum across coarse partitions.
 
-    Each path is lifted at the fine resolution; over every coarse
-    partition the first-level compensated sum is compared with the
-    plain left-point sum on the same cells.  The difference D is the
-    contribution of all indices |i| >= 1, and its RMS must shrink with
-    the coarse mesh like mesh^zeta; the report's ``ratio`` is
-    RMS(finest coarse level) / RMS(coarsest).
+    Each path is lifted on ``grid``; over the coarse partitions of N/64,
+    N/16 and N/4 cells (:func:`_dyadic_nodes`) the first-level
+    compensated sum is compared with the plain left-point sum on the
+    same cells.  The difference D is the contribution of all indices
+    |i| >= 1, and its RMS must shrink with the coarse mesh like
+    mesh^zeta; the report's ``ratio`` is RMS(finest coarse level) /
+    RMS(coarsest).
     """
-    coarse_cells = tuple(sorted(int(c) for c in coarse_cells))
-    if not coarse_cells or coarse_cells[0] < 1:
-        raise ConfigurationError(
-            f"need at least one coarse partition of >= 1 cell, got {coarse_cells}")
-    for c in coarse_cells:
-        if fine_cells % c:
-            raise ConfigurationError("coarse partitions must divide the fine grid")
-    grid = core.Grid(T=T, N=fine_cells)
+    _check_rho(rho)
+    coarse_cells = tuple(_dyadic_nodes(grid)[:-1:2].tolist())
+    check_driver_pair(kernel, config)
 
     def stage(count, dW, dX, normals, work):
         out = np.zeros((count, len(coarse_cells)))
@@ -591,7 +578,7 @@ def ito_consistency_check(kernel: KernelSpec, config: core.IndexConfig,
             x = _levels_batch(1.0, dX[b:b + 1], work)[0]
             prp = core.lift_sampled_paths(xhat, x[:, None], config, grid)
             for li, cells in enumerate(coarse_cells):
-                part = np.arange(cells + 1, dtype=np.int64) * (fine_cells // cells)
+                part = np.arange(cells + 1, dtype=np.int64) * (grid.N // cells)
                 comp = compensated_sum_level1(prp, f, part)[0]
                 lefts = part[:-1]
                 plain = float(f.value(prp.xhat[lefts]) @ (x[part[1:]] - x[lefts]))

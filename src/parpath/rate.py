@@ -85,9 +85,10 @@ class RateProblem:
             raise ConfigurationError(
                 f"z grid entries must be finite, got {list(self.z_grid)}")
         base = float(np.asarray(self.f.value_first(np.zeros(1)))[0])
-        if not base > _F_FLOOR:
+        if not (base > _F_FLOOR and math.isfinite(base * base)):
             raise ConfigurationError(
-                "f must be positive at the base point; the rate problem is degenerate")
+                "f must be positive at the base point with a finite square, "
+                f"got {base}")
 
 
 def _terms(g, z, problem):

@@ -138,6 +138,8 @@ def solve_model(grid, kernel, index_config, f, sigma: SigmaFunction,
     """
     from .lift import build_lift, simulate_brownian
 
+    if not np.isfinite(s0):
+        raise ConfigurationError(f"s0 must be finite, got {s0}")
     y1, y2 = [], []
     for seed in seeds:
         prp = build_lift(simulate_brownian(grid, rho, seed), kernel,

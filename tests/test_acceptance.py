@@ -143,6 +143,7 @@ def test_ito_consistency_across_meshes(capsys):
     # between seeds; this instance has comfortable margin.
     report = ito_consistency_check(riemann_liouville(0.3, 0.01), SMALL,
                                    ExponentialVol(1.0, (1.0, 1.0)), rho=-0.7,
+                                   grid=core.Grid(T=1.0, N=1 << 16),
                                    n_paths=100, seed=2)
     ok = report.rms[1 << 14] <= 0.5 * report.rms[1 << 10]
     _report(capsys, "ito-consistency", ok,

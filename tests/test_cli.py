@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -858,3 +859,88 @@ def test_huge_finite_model_parameters_exit_2(tmp_path, capsys, command, line):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_rde_refuses_a_non_finite_initial_state(tmp_path, capsys, monkeypatch,
+                                                value):
+    # A NaN or infinite S0 was stepped and exited 3, "state blew up at
+    # node 1": it is a config error, raised before any path is drawn.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a path from a non-finite initial state")
+
+    monkeypatch.setattr(cli.lift_mod, "stream", no_draw)
+    cfg = _cfg(tmp_path, MODEL_RUN + f"model.S0 = {value}\n")
+    assert main(["rde", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: s0 must be finite, got {float(value)}\n"
+    assert not (tmp_path / "x" / "rde.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["rate", "smile", "ldp"])
+def test_vol_whose_square_overflows_at_the_base_point_exits_2(
+        tmp_path, capsys, monkeypatch, command):
+    # f(0) = vol.xi = 1e200: f^2 overflows in the rate objective, which
+    # stalled with a NaN gradient residual (exit 3).  The rate problem
+    # refuses it, so mc ldp stops before it samples.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled a model the rate problem refuses")
+
+    monkeypatch.setattr(cli.mc, "stream", no_draw)
+    text = MODEL_RUN + "rate.K = 8\nrate.restarts = 1\nvol.xi = 1e200\n"
+    argv = [command]
+    if command == "ldp":
+        argv, text = ["mc"], text + "mc.check = ldp\n"
+    cfg = _cfg(tmp_path, text)
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: f must be positive at the base point "
+                          "with a finite square, got 1e+200")
+
+
+def test_lift_and_mc_ito_refuse_the_same_lift(tmp_path, capsys, monkeypatch):
+    # index.beta = 0.08 exceeds zeta = 0.04 at H = 0.05: lift refused it,
+    # while mc ito lifted and scored the paths with "pass": true.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("mc ito sampled a lift that lift refuses")
+
+    monkeypatch.setattr(cli.mc, "stream", no_draw)
+    text = "kernel.H = 0.05\ngrid.N = 256\nmc.check = ito\nmc.n_paths = 2\n"
+    cfg = _cfg(tmp_path, text)
+    errors = []
+    for command in ("lift", "mc"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        errors.append(capsys.readouterr().err)
+        assert not (out / "mc_summary.json").exists()
+    assert errors == ["config error: beta = 0.08 exceeds the kernel "
+                      "regularity zeta = 0.04\n"] * 2
+
+
+_ITO = """
+index.alpha = 0.45
+index.beta = 0.2
+kernel.H = 0.3
+grid.N = 128
+mc.check = ito
+mc.n_paths = 2
+"""
+
+
+@pytest.mark.parametrize("check, text, other", [
+    ("moments", MOMENTS, "grid.N = 128"),
+    ("ito", _ITO, "grid.N = 256"),
+    ("price", PRICE, "grid.N = 128"),
+    ("ldp", LDP, "grid.N = 16"),
+], ids=["moments", "ito", "price", "ldp"])
+def test_each_mc_check_reads_the_grid(tmp_path, check, text, other):
+    # A check that ignored grid.N (ito lifted 2^16 cells whatever it
+    # said) would write the same table at both sizes.
+    line = re.search(r"^grid\.N = \d+$", text, flags=re.M).group(0)
+    tables = []
+    for name, cfg_text in (("a", text), ("b", text.replace(line, other))):
+        out = tmp_path / name
+        cfg = _cfg(tmp_path, cfg_text, name=f"{name}.cfg")
+        assert main(["mc", "--config", cfg, "--out", str(out)]) == 0
+        tables.append(_manifest(out)["outputs"][f"{check}.csv"])
+    assert tables[0] != tables[1]

@@ -239,12 +239,10 @@ def _engine_runs(grid, n_paths, chunk, threads=1, rho=-0.7):
         "ldp": lambda: ldp_tail_check(kernel, _EXP_F, SigmaConstant(1.0),
                                       rho, grid, 0.05, (0.25, 0.5, 1.0),
                                       problem, n_paths, 1, min_count=1, **kw),
-        "moments": lambda: moment_scaling_check(
-            kernel, grid, rho, n_paths, 1, t_nodes=[grid.N // 4, grid.N],
-            **kw),
-        "ito": lambda: ito_consistency_check(
-            kernel, SMALL, _EXP_F, rho, n_paths, 1,
-            coarse_cells=(grid.N // 4,), fine_cells=grid.N, **kw),
+        "moments": lambda: moment_scaling_check(kernel, grid, rho, n_paths,
+                                                1, **kw),
+        "ito": lambda: ito_consistency_check(kernel, SMALL, _EXP_F, rho, grid,
+                                             n_paths, 1, **kw),
         "rde": lambda: rde_convergence_check(sigma, ConstantVol(0.3), rho,
                                              1.0, grid.N // 2, n_paths, 1,
                                              **kw),
@@ -273,7 +271,7 @@ def test_every_engine_refuses_fewer_than_one_thread(monkeypatch, engine,
     # The working-set guard counts min(threads, chunks) workers, so a
     # thread count below 1 would run on one thread unguarded.
     monkeypatch.setattr(mc, "stream", _no_stream)
-    run = _engine_runs(core.Grid(T=1.0, N=64), 20, 8, threads)[engine]
+    run = _engine_runs(core.Grid(T=1.0, N=128), 20, 8, threads)[engine]
     with pytest.raises(ConfigurationError, match="at least one thread"):
         run()
 
@@ -287,7 +285,7 @@ def test_every_engine_refuses_rho_outside_the_unit_interval(monkeypatch,
     # driver with no independent part, dX = rho dW, and NaN would spread
     # through every sample: the chunk runner refuses it before any draw.
     monkeypatch.setattr(mc, "stream", _no_stream)
-    run = _engine_runs(core.Grid(T=1.0, N=64), 20, 8, rho=rho)[engine]
+    run = _engine_runs(core.Grid(T=1.0, N=128), 20, 8, rho=rho)[engine]
     with pytest.raises(ConfigurationError, match=r"rho must lie in \[-1, 1\]"):
         run()
 
@@ -295,7 +293,7 @@ def test_every_engine_refuses_rho_outside_the_unit_interval(monkeypatch,
 @pytest.mark.parametrize("engine", _ENGINES)
 @pytest.mark.parametrize("rho", [1.0, -1.0])
 def test_every_engine_accepts_rho_at_the_interval_ends(engine, rho):
-    _engine_runs(core.Grid(T=1.0, N=64), 20, 8, rho=rho)[engine]()
+    _engine_runs(core.Grid(T=1.0, N=128), 20, 8, rho=rho)[engine]()
 
 
 @pytest.mark.parametrize("engine", _ENGINES)
@@ -317,7 +315,7 @@ def test_each_call_dispatches_once_and_draws_once_per_chunk(monkeypatch,
 
     monkeypatch.setattr(mc, "_dispatch", dispatch)
     monkeypatch.setattr(mc, "_draw_increments", draw)
-    _engine_runs(core.Grid(T=1.0, N=64), 20, 8, threads=2)[engine]()
+    _engine_runs(core.Grid(T=1.0, N=128), 20, 8, threads=2)[engine]()
     assert dispatches == [3]
     assert sorted(draws) == [0, 1, 2]
 
@@ -561,7 +559,7 @@ def test_touching_cell_blocks_are_the_whole_third_row(monkeypatch, engine,
     # each chunk on a partial row block (16 + 4, 16 + 1), and ito reads
     # one row at a time.  Rows are matched by their dW bits, which the
     # engine scales in place as the replay does.
-    grid, n_paths, chunk, seed = core.Grid(T=1.0, N=64), 37, 20, 1
+    grid, n_paths, chunk, seed = core.Grid(T=1.0, N=128), 37, 20, 1
     expected = {}
     for cid, start in enumerate(range(0, n_paths, chunk)):
         count = min(chunk, n_paths - start)
@@ -595,14 +593,14 @@ def test_touching_cell_blocks_are_the_whole_third_row(monkeypatch, engine,
                                    SigmaLinear(0.0, 1.0), -0.7, 1.0,
                                    core.Grid(T=1.0, N=64), (1.0,), (1.0,),
                                    20, 1, chunk=8), 2),
-    (lambda: moment_scaling_check(_H_HALF, core.Grid(T=1.0, N=64), -0.7, 20,
-                                  1, t_nodes=[16, 64], chunk=8), 2),
-    (lambda: moment_scaling_check(_H_ROUGH, core.Grid(T=1.0, N=64), -0.7, 20,
-                                  1, t_nodes=[16, 64], chunk=8), 3),
-    (lambda: ito_consistency_check(_H_HALF, SMALL, _EXP_F, -0.7, 2, 1,
-                                   coarse_cells=(16,), fine_cells=64), 2),
-    (lambda: ito_consistency_check(_H_ROUGH, SMALL, _EXP_F, -0.7, 2, 1,
-                                   coarse_cells=(16,), fine_cells=64), 3),
+    (lambda: moment_scaling_check(_H_HALF, core.Grid(T=1.0, N=128), -0.7, 20,
+                                  1, chunk=8), 2),
+    (lambda: moment_scaling_check(_H_ROUGH, core.Grid(T=1.0, N=128), -0.7, 20,
+                                  1, chunk=8), 3),
+    (lambda: ito_consistency_check(_H_HALF, SMALL, _EXP_F, -0.7,
+                                   core.Grid(T=1.0, N=128), 2, 1), 2),
+    (lambda: ito_consistency_check(_H_ROUGH, SMALL, _EXP_F, -0.7,
+                                   core.Grid(T=1.0, N=128), 2, 1), 3),
     (lambda: rde_convergence_check(SigmaLinear(0.0, 1.0), ConstantVol(1.0),
                                    0.0, 1.0, 32, 20, 1, chunk=8), 2),
 ], ids=["constant-f", "exponential-f-H-half", "exponential-f-H-rough",
@@ -646,11 +644,10 @@ def test_two_row_chunks_are_bit_identical_to_the_three_row_replay(sigma):
         np.testing.assert_array_equal(S, S_ref[:, snaps])
         np.testing.assert_array_equal(X, X_ref[:, snaps])
 
-    t_nodes = np.array([64, 256, 1024])
+    t_nodes = grid.N >> np.arange(6, -1, -1)  # 16, 32, ..., 1024
     for threads in (1, 2):
         moments = moment_scaling_check(_H_HALF, grid, -0.7, n_paths, seed,
-                                       t_nodes=t_nodes, chunk=chunk,
-                                       threads=threads)
+                                       chunk=chunk, threads=threads)
         expected = _replay_mean_squares(_H_HALF, grid, n_paths, seed, chunk,
                                         t_nodes, moments.indices)
         for i in moments.indices:
@@ -689,9 +686,9 @@ def test_blocked_tail_counts_and_moments_match_whole_chunks():
                                   np.sum(S_ref[:, snaps] >= thresholds, axis=0))
 
     # The moment check sums each chunk's squares in one np.sum, as here.
-    t_nodes = np.array([64, 256, 1024])
+    t_nodes = grid.N >> np.arange(6, -1, -1)  # 16, 32, ..., 1024
     moments = moment_scaling_check(kernel, grid, -0.7, n_paths, seed,
-                                   t_nodes=t_nodes, chunk=chunk)
+                                   chunk=chunk)
     expected = _replay_mean_squares(kernel, grid, n_paths, seed, chunk, t_nodes,
                                     moments.indices)
     for i in moments.indices:
@@ -823,52 +820,57 @@ def test_moment_scaling_validation():
     kernel = riemann_liouville(0.3, 0.01)
     with pytest.raises(ConfigurationError, match="divisible by 64"):
         moment_scaling_check(kernel, core.Grid(T=1.0, N=100), 0.0, 10, seed=1)
-    with pytest.raises(ConfigurationError, match="out of range"):
-        moment_scaling_check(kernel, core.Grid(T=1.0, N=64), 0.0, 10, seed=1,
-                             t_nodes=[0, 32])
-    with pytest.raises(ConfigurationError, match="out of range"):
-        moment_scaling_check(kernel, core.Grid(T=1.0, N=64), 0.0, 10, seed=1,
-                             t_nodes=[32, 65])
-    # No index would pass having measured nothing, and fewer than two
-    # distinct t nodes leave no slope to fit.
-    with pytest.raises(ConfigurationError, match="at least one index"):
-        moment_scaling_check(kernel, core.Grid(T=1.0, N=64), 0.0, 10, seed=1,
-                             indices=())
-    for t_nodes in ([], [64], [32, 32.0]):
-        with pytest.raises(ConfigurationError, match="two distinct t nodes"):
-            moment_scaling_check(kernel, core.Grid(T=1.0, N=64), 0.0, 10,
-                                 seed=1, t_nodes=t_nodes)
-    # Node 16.5 used to run as node 16; a whole float is still a node.
-    for t_nodes in ([16.5, 64], [16, 32.25], [float("nan"), 64],
-                    [16, float("inf")]):
-        with pytest.raises(ConfigurationError, match="whole numbers"):
-            moment_scaling_check(kernel, core.Grid(T=1.0, N=64), 0.0, 10,
-                                 seed=1, t_nodes=t_nodes)
-    whole, ints = (moment_scaling_check(kernel, core.Grid(T=1.0, N=64), 0.0,
-                                        10, seed=1, t_nodes=t_nodes)
-                   for t_nodes in ([16.0, 64.0], [16, 64]))
-    assert whole.slopes == ints.slopes
 
 
 def test_moment_scaling_degenerate_moment(monkeypatch):
     # At node 1 the level-1 value with weight xhat^i is exactly zero for
-    # |i| >= 1 because xhat starts at the origin: such a t grid is
-    # refused before any draw, and so is the default grid at N = 64,
-    # whose smallest node is 1.
+    # |i| >= 1 because xhat starts at the origin: N = 64, whose smallest
+    # derived node is 1, is refused before any draw.
     monkeypatch.setattr(mc, "stream", _no_stream)
     kernel = riemann_liouville(0.3, 0.01)
     grid = core.Grid(T=1.0, N=64)
-    for indices in (((1, 0),), ((0, 1),), ((0, 0), (1, 0))):
-        with pytest.raises(ConfigurationError, match="t nodes must be >= 2"):
-            moment_scaling_check(kernel, grid, 0.0, 10, seed=1,
-                                 indices=indices, t_nodes=[1, 32])
     with pytest.raises(ConfigurationError, match="at least 128"):
         moment_scaling_check(kernel, grid, 0.0, 10, seed=1)
-    # The zero index is dX itself, which node 1 measures.
-    monkeypatch.undo()
-    report = moment_scaling_check(kernel, grid, 0.0, 10, seed=1,
-                                  indices=((0, 0),), t_nodes=[1, 32])
-    assert np.all(report.mean_squares[(0, 0)] > 0.0)
+
+
+def _grid_checks(grid, rho=0.0, kernel=_H_ROUGH):
+    """The two checks that take their nodes from ``grid``, by name."""
+    return {"moments": lambda: moment_scaling_check(kernel, grid, rho, 4, 1),
+            "ito": lambda: ito_consistency_check(kernel, SMALL, _EXP_F, rho,
+                                                 grid, 2, 1)}
+
+
+@pytest.mark.parametrize("check", ["moments", "ito"])
+def test_checks_take_their_nodes_from_the_grid(monkeypatch, check):
+    # One rule for both checks: N divisible by 64 and at least 128,
+    # refused before any draw, and only after a bad rho.
+    with monkeypatch.context() as patch:
+        patch.setattr(mc, "stream", _no_stream)
+        for N in (64, 96, 100):
+            grid = core.Grid(T=1.0, N=N)
+            with pytest.raises(ConfigurationError,
+                               match=f"divisible by 64 and at least 128, got {N}"):
+                _grid_checks(grid)[check]()
+            with pytest.raises(ConfigurationError, match="rho must lie in"):
+                _grid_checks(grid, rho=1.5)[check]()
+    grid = core.Grid(T=1.0, N=128)
+    report = _grid_checks(grid)[check]()
+    if check == "moments":
+        np.testing.assert_array_equal(report.t_values,
+                                      grid.nodes[[2, 4, 8, 16, 32, 64, 128]])
+    else:
+        assert report.coarse_cells == (2, 8, 32)
+
+
+def test_ito_refuses_what_the_lift_refuses(monkeypatch):
+    # beta = 0.2 exceeds zeta = 0.04 at H = 0.05: build_lift refuses such
+    # a lift, and so does the ito check, before any draw and after the
+    # grid.
+    monkeypatch.setattr(mc, "stream", _no_stream)
+    kernel = riemann_liouville(0.05, 0.01)
+    for N, match in ((128, "exceeds the kernel regularity"), (64, "at least 128")):
+        with pytest.raises(ConfigurationError, match=match):
+            _grid_checks(core.Grid(T=1.0, N=N), kernel=kernel)["ito"]()
 
 
 def test_check_tolerances_are_fixed():
@@ -876,8 +878,7 @@ def test_check_tolerances_are_fixed():
     # ratio at 0.5 or below, both bounds inclusive.
     assert (mc.MOMENTS_TOL, mc.ITO_MAX_RATIO) == (0.05, 0.5)
     report = moment_scaling_check(riemann_liouville(0.3, 0.01),
-                                  core.Grid(T=1.0, N=64), 0.0, 10, seed=1,
-                                  t_nodes=[16, 64])
+                                  core.Grid(T=1.0, N=128), 0.0, 10, seed=1)
     assert report.tol == 0.05
     for dev, passed in ((0.05, True), (np.nextafter(0.05, 1.0), False)):
         devs = dict.fromkeys(report.indices, dev)
@@ -897,42 +898,34 @@ def test_ito_constant_f_has_no_higher_order_mass():
     # nothing, so compensated and plain sums coincide bit for bit.
     report = ito_consistency_check(riemann_liouville(0.3, 0.01), SMALL,
                                    ConstantVol(1.3), rho=-0.7,
-                                   n_paths=4, seed=2,
-                                   coarse_cells=(2 ** 4, 2 ** 5),
-                                   fine_cells=2 ** 6)
-    assert report.rms == {16: 0.0, 32: 0.0}
+                                   grid=core.Grid(T=1.0, N=128),
+                                   n_paths=4, seed=2)
+    assert report.rms == {2: 0.0, 8: 0.0, 32: 0.0}
     assert report.ratio == 0.0
     assert report.passed()
 
 
 def test_ito_report_shrinks_with_the_mesh():
-    kwargs = dict(f=ExponentialVol(1.0, (1.0, 1.0)), rho=-0.7, n_paths=6,
-                  seed=2, coarse_cells=(2 ** 4, 2 ** 6), fine_cells=2 ** 8,
-                  chunk=2)
+    kwargs = dict(f=ExponentialVol(1.0, (1.0, 1.0)), rho=-0.7,
+                  grid=core.Grid(T=1.0, N=256), n_paths=6, seed=2, chunk=2)
     report = ito_consistency_check(riemann_liouville(0.3, 0.01), SMALL, **kwargs)
-    assert report.coarse_cells == (16, 64)
-    assert report.rms[64] < report.rms[16]
+    assert report.coarse_cells == (4, 16, 64)
+    assert report.rms[64] < report.rms[16] < report.rms[4]
     assert 0.2 < report.ratio < 0.7
-    assert report.ratio == report.rms[64] / report.rms[16]
+    assert report.ratio == report.rms[64] / report.rms[4]
 
     again = ito_consistency_check(riemann_liouville(0.3, 0.01), SMALL,
                                   threads=3, **kwargs)
     assert report.rms == again.rms
 
 
-def test_ito_coarse_must_divide_fine():
-    with pytest.raises(ConfigurationError, match="divide"):
+def test_ito_refuses_an_rms_that_overflows():
+    # f = 1e200 exp(...): the compensated sums or their squares overflow.
+    with np.errstate(all="ignore"), \
+            pytest.raises(ConfigurationError, match="must be finite"):
         ito_consistency_check(riemann_liouville(0.3, 0.01), SMALL,
-                              ConstantVol(1.0), rho=0.0, n_paths=2, seed=1,
-                              coarse_cells=(24,), fine_cells=64)
-
-
-def test_ito_refuses_empty_or_empty_celled_partitions():
-    for coarse in ((), (0,), (-16, 16)):
-        with pytest.raises(ConfigurationError, match="coarse partition"):
-            ito_consistency_check(riemann_liouville(0.3, 0.01), SMALL,
-                                  ConstantVol(1.0), rho=0.0, n_paths=2,
-                                  seed=1, coarse_cells=coarse, fine_cells=64)
+                              ExponentialVol(1e200, (1.0, 1.0)), rho=-0.7,
+                              grid=core.Grid(T=1.0, N=128), n_paths=1, seed=2)
 
 
 # ---------------------------------------------------------------------------
