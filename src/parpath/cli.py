@@ -127,13 +127,14 @@ class _Run:
 
 
 def _build_lift(cfg):
-    """(bundle, prp): the configured driver path and its lift."""
-    bundle = lift_mod.simulate_brownian(config_mod.make_grid(cfg),
-                                        cfg["corr.rho"], cfg["rng.seed"])
-    prp = lift_mod.build_lift(bundle, config_mod.make_kernel(cfg),
-                              config_mod.make_index_config(cfg),
-                              cell_correction=cfg["lift.cell_correction"])
-    return bundle, prp
+    """(bundle, prp): the configured driver path and its lift, refused
+    before the draw when the kernel cannot carry the index sets."""
+    grid = config_mod.make_grid(cfg)
+    kernel = config_mod.make_kernel(cfg)
+    idxcfg = config_mod.make_index_config(cfg)
+    lift_mod.check_driver_pair(kernel, idxcfg)
+    bundle = lift_mod.simulate_brownian(grid, cfg["corr.rho"], cfg["rng.seed"])
+    return bundle, lift_mod.build_lift(bundle, kernel, idxcfg)
 
 
 def cmd_lift(cfg, out_dir: str, threads: int) -> int:
@@ -256,8 +257,7 @@ def cmd_rde(cfg, out_dir: str, threads: int) -> int:
         raise ConfigurationError("model.n_paths must be >= 1")
     seed = cfg["rng.seed"]
     S = rde.solve_model(grid, kernel, idxcfg, f, sigma, cfg["corr.rho"],
-                        cfg["model.S0"], range(seed, seed + n_paths),
-                        cell_correction=cfg["lift.cell_correction"])
+                        cfg["model.S0"], range(seed, seed + n_paths))
     nodes = grid.nodes.tolist()
     rows = ((p, t, state) for p, path in enumerate(S.tolist())
             for t, state in zip(nodes, path))
@@ -327,8 +327,7 @@ def _mc_price(cfg, run, threads: int):
                                      cfg["model.S0"], grid,
                                      cfg["mc.strikes"], cfg["mc.maturities"],
                                      cfg["mc.n_paths"], cfg["rng.seed"],
-                                     threads=threads, chunk=cfg["mc.chunk"],
-                                     cell_correction=cfg["lift.cell_correction"])
+                                     threads=threads, chunk=cfg["mc.chunk"])
     rows = [(r.strike, r.maturity, r.price, r.stderr, r.implied_vol,
              r.iv_stderr, r.note) for r in table.rows]
     _write_csv(run.path("price.csv"),

@@ -27,15 +27,6 @@ from .exceptions import ConfigurationError
 _REQUIRED = object()
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_floats(text: str) -> tuple:
     text = text.strip()
     if not text:
@@ -47,7 +38,6 @@ _PARSERS = {
     "int": int,
     "float": float,
     "str": lambda s: s.strip(),
-    "bool": _parse_bool,
     "floats": _parse_floats,
 }
 
@@ -61,7 +51,6 @@ REGISTRY = {
     "kernel.delta": ("float", 0.01),
     "corr.rho": ("float", 0.0),
     "rng.seed": ("int", 0),
-    "lift.cell_correction": ("bool", True),
     "integrate.tol": ("float", 1e-9),
     "vol.family": ("str", "exponential"),
     "vol.value": ("float", 1.0),
@@ -92,8 +81,6 @@ REGISTRY = {
 
 
 def _canon(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.17g}"
     if isinstance(value, tuple):

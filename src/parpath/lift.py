@@ -92,7 +92,7 @@ def kernel_sq_antideriv(spec: KernelSpec, t):
 
 @dataclasses.dataclass(frozen=True)
 class BrownianBundle:
-    """Correlated Brownian node data plus auxiliary touching-cell normals.
+    """Brownian node data ``W``, the driver ``X`` and touching-cell normals.
 
     ``aux`` holds one standard normal per cell, consumed by the hybrid
     convolution rule; zero it to make the convolution a deterministic
@@ -100,34 +100,24 @@ class BrownianBundle:
     """
 
     grid: core.Grid
-    rho: float
     W: np.ndarray
-    Wperp: np.ndarray
     X: np.ndarray
     aux: np.ndarray = None
-    seed: int = None
 
     def __post_init__(self):
         n_nodes = self.grid.N + 1
         W = np.asarray(self.W, dtype=np.float64)
-        Wp = np.asarray(self.Wperp, dtype=np.float64)
         X = np.asarray(self.X, dtype=np.float64)
         aux = (np.zeros(self.grid.N) if self.aux is None
                else np.asarray(self.aux, dtype=np.float64))
-        if not -1.0 <= self.rho <= 1.0:
-            raise ConfigurationError(f"rho must lie in [-1, 1], got {self.rho}")
-        for name, arr in (("W", W), ("Wperp", Wp), ("X", X)):
+        for name, arr in (("W", W), ("X", X)):
             if arr.shape != (n_nodes,):
                 raise DomainError(f"{name} must have shape ({n_nodes},)")
             if arr[0] != 0.0 or not np.all(np.isfinite(arr)):
                 raise DomainError(f"{name} must be finite and start at 0")
         if aux.shape != (self.grid.N,):
             raise DomainError(f"aux must have shape ({self.grid.N},)")
-        mix = self.rho * W + math.sqrt(max(0.0, 1.0 - self.rho ** 2)) * Wp
-        if not np.allclose(X, mix, atol=1e-12, rtol=0.0):
-            raise DomainError("X must equal rho*W + sqrt(1-rho^2)*Wperp")
         object.__setattr__(self, "W", core._freeze(W))
-        object.__setattr__(self, "Wperp", core._freeze(Wp))
         object.__setattr__(self, "X", core._freeze(X))
         object.__setattr__(self, "aux", core._freeze(aux))
 
@@ -142,8 +132,7 @@ def simulate_brownian(grid: core.Grid, rho: float, seed: int) -> BrownianBundle:
     W = np.concatenate([[0.0], np.cumsum(sq * norms[0])])
     Wp = np.concatenate([[0.0], np.cumsum(sq * norms[1])])
     X = rho * W + math.sqrt(max(0.0, 1.0 - rho ** 2)) * Wp
-    return BrownianBundle(grid=grid, rho=float(rho), W=W, Wperp=Wp, X=X,
-                          aux=norms[2], seed=int(seed))
+    return BrownianBundle(grid=grid, W=W, X=X, aux=norms[2])
 
 
 def _hybrid_cell_coeffs(spec: KernelSpec, delta: float):
@@ -310,15 +299,14 @@ def check_driver_pair(spec: KernelSpec, config: core.IndexConfig) -> None:
             f"beta = {config.beta} exceeds the kernel regularity zeta = {spec.zeta}")
 
 
-def build_lift(bundle: BrownianBundle, spec: KernelSpec, config: core.IndexConfig,
-               cell_correction: bool = True) -> core.PartialRoughPath:
+def build_lift(bundle: BrownianBundle, spec: KernelSpec,
+               config: core.IndexConfig) -> core.PartialRoughPath:
     """Left-point lift of the simulated driver pair.
 
     ``config`` must suit the driver pair (:func:`check_driver_pair`).
-    With ``cell_correction`` on (the default), level-2 cells carry the
-    exact Brownian in-cell term, which sharpens downstream second-order
-    schemes by one weak order; the splitting identities remain exact
-    either way.
+    Level-2 cells carry the exact Brownian in-cell term
+    ``(dX^2 - delta)/2``, which sharpens downstream second-order schemes
+    by one weak order; the splitting identities hold as for any lift.
     """
     check_driver_pair(spec, config)
     grid = bundle.grid
@@ -327,7 +315,7 @@ def build_lift(bundle: BrownianBundle, spec: KernelSpec, config: core.IndexConfi
         grid.nodes ** spec.zeta,
     ])
     return core.lift_sampled_paths(xhat, bundle.X, config, grid,
-                                   cell_correction=cell_correction)
+                                   cell_correction=True)
 
 
 def build_lift_quadrature(xhat_fns, config: core.IndexConfig, grid: core.Grid,

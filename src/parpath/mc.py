@@ -334,8 +334,7 @@ def _node_major(rows, name: str, work: _Workspace) -> np.ndarray:
 
 
 def _step_segments(dX, fv, sigma: SigmaFunction, s0: float, keep,
-                   delta: float, cell_correction: bool,
-                   work: _Workspace) -> np.ndarray:
+                   delta: float, work: _Workspace) -> np.ndarray:
     """Sbar at the nodes ``keep`` of the chunk's paths, (len(keep), count).
 
     ``dX`` holds the chunk's increments, (count, n_cells), and ``fv``
@@ -366,14 +365,13 @@ def _step_segments(dX, fv, sigma: SigmaFunction, s0: float, keep,
         _carried_cumsum(contrib, y1, lo == 0)
         cells2 = np.multiply(y1[:-1], contrib,
                              out=work.view("seg_cells2", shape))
-        if cell_correction:
-            # cells2 += fv^2 * (0.5 * (dX^2 - delta)), in this order.
-            t = np.square(dx, out=work.view("seg_dx2", shape))
-            t -= delta
-            t *= 0.5
-            v = np.square(f_seg, out=contrib)  # contrib is not read again
-            v *= t
-            cells2 += v
+        # In-cell term: cells2 += fv^2 * (0.5 * (dX^2 - delta)), in this order.
+        t = np.square(dx, out=work.view("seg_dx2", shape))
+        t -= delta
+        t *= 0.5
+        v = np.square(f_seg, out=contrib)  # contrib is not read again
+        v *= t
+        cells2 += v
         _carried_cumsum(cells2, y2, lo == 0)
         dy1 = work.view("seg_dy1", shape)
         y2_cell = work.view("seg_y2_cell", shape)
@@ -386,7 +384,7 @@ def _step_segments(dX, fv, sigma: SigmaFunction, s0: float, keep,
 
 def _run_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
                rho: float, s0: float, grid: core.Grid, snaps, seed: int,
-               cell_correction: bool, n_paths: int, chunk: int, threads: int,
+               n_paths: int, chunk: int, threads: int,
                reduce=None):
     """Each chunk's ``reduce(S)``, S the state at the snapshot nodes; without
     ``reduce``, each chunk's (S, X), X the driver at the same nodes.
@@ -419,8 +417,7 @@ def _run_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
                 X[rows] = _levels_batch(1.0, dX[rows], work)[:, snaps]
         if stepped:
             S = s0 + _step_segments(dX, float(f.c) if const_f else dW, sigma,
-                                    s0, snaps, grid.delta, cell_correction,
-                                    work).T
+                                    s0, snaps, grid.delta, work).T
         return (S, X) if with_x else reduce(S)
 
     return _run_chunks(stage, grid, seed, rho, n_paths, chunk, threads,
@@ -430,7 +427,7 @@ def _run_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
 def simulate_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
                    rho: float, s0: float, grid: core.Grid, snapshots,
                    n_paths: int, seed: int, threads: int = 1,
-                   chunk: int = DEFAULT_CHUNK, cell_correction: bool = True):
+                   chunk: int = DEFAULT_CHUNK):
     """Model state and driver at snapshot nodes for n_paths paths.
 
     Returns ``(S, X)`` of shape (n_paths, len(snapshots)).
@@ -446,7 +443,7 @@ def simulate_state(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
         raise ConfigurationError("snapshot nodes out of range")
 
     parts = _run_state(kernel, f, sigma, rho, s0, grid, nodes,
-                       seed, cell_correction, n_paths, chunk, threads)
+                       seed, n_paths, chunk, threads)
     S = np.concatenate([p[0] for p in parts])
     X = np.concatenate([p[1] for p in parts])
     return S, X
@@ -639,8 +636,7 @@ def price_and_implied_vol(kernel: KernelSpec, f: VolFunction,
                           sigma: SigmaFunction, rho: float, s0: float,
                           grid: core.Grid, strikes, maturities, n_paths: int,
                           seed: int, threads: int = 1,
-                          chunk: int = DEFAULT_CHUNK,
-                          cell_correction: bool = True) -> PriceTable:
+                          chunk: int = DEFAULT_CHUNK) -> PriceTable:
     """Monte Carlo call prices and implied vols on a strike/maturity grid.
 
     Prices are sample means of ``max(S_T - K, 0)``; implied vols invert
@@ -659,8 +655,7 @@ def price_and_implied_vol(kernel: KernelSpec, f: VolFunction,
         raise ConfigurationError(f"spot must be positive and finite, got {s0}")
     snaps = _nodes_for_times(grid, maturities)
     S = np.concatenate(_run_state(kernel, f, sigma, rho, s0, grid, snaps, seed,
-                                  cell_correction, n_paths, chunk, threads,
-                                  reduce=lambda S: S))
+                                  n_paths, chunk, threads, reduce=lambda S: S))
     rows = []
     for ki, K in enumerate(strikes):
         for mi, mat in enumerate(np.asarray(maturities, dtype=np.float64)):
@@ -737,7 +732,7 @@ def rde_convergence_check(sigma: SigmaFunction, f: VolFunction, rho: float,
                     dX[rows, :n_coarse] = inc
                 X_T[rows] = np.sum(inc, axis=1)
             S = s0 + _step_segments(dX[:, :g.N], float(f.c), sigma, s0,
-                                    [g.N], g.delta, True, work)[0]
+                                    [g.N], g.delta, work)[0]
             exact = s0 * np.exp(m * X_T - 0.5 * m ** 2)
             out[:, res] = (S - exact) / exact
         return out
@@ -805,7 +800,7 @@ def ldp_tail_check(kernel: KernelSpec, f: VolFunction, sigma: SigmaFunction,
     t_arr = grid.nodes[snaps]
     thresholds = z * t_arr ** (0.5 - H)
 
-    parts = _run_state(kernel, f, sigma, rho, 0.0, grid, snaps, seed, True,
+    parts = _run_state(kernel, f, sigma, rho, 0.0, grid, snaps, seed,
                        n_paths, chunk, threads,
                        reduce=lambda S: np.sum(S >= thresholds[None, :], axis=0))
     counts = np.sum(parts, axis=0)

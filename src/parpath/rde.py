@@ -6,11 +6,10 @@ The scheme advances the centered state
                         + sigma_c'(Sbar_q) sigma_c(Sbar_q) * Y2_cell
 
 per grid cell, where sigma_c(u) = sigma(s0 + u) and the cell values come
-from a :class:`RoughPath`.  The model state is S = s0 + Sbar.  When the
-driving path was built with the Brownian in-cell correction, the Y2
+from a :class:`RoughPath`.  The model state is S = s0 + Sbar.  A
+simulated driver's lift carries the Brownian in-cell term, so its Y2
 cells carry the exact second-order term and the scheme matches the
-classical second-order method for diffusions; without it the correction
-term degenerates and only first-order accuracy remains.
+classical second-order method for diffusions.
 
 Scalar state, scalar driver (d = 1).
 """
@@ -124,8 +123,7 @@ def solve_rde(problem: RdeProblem) -> np.ndarray:
 
 
 def solve_model(grid, kernel, index_config, f, sigma: SigmaFunction,
-                rho: float, s0: float, seeds,
-                cell_correction: bool = True) -> np.ndarray:
+                rho: float, s0: float, seeds) -> np.ndarray:
     """Simulate, lift, integrate, and step: one path of the full model per seed.
 
     The state follows ``dS = sigma(S) dY`` with ``Y = int f(xhat) dX``
@@ -136,14 +134,15 @@ def solve_model(grid, kernel, index_config, f, sigma: SigmaFunction,
     reference pipeline; the Monte Carlo engines reproduce it with
     batched arithmetic.
     """
-    from .lift import build_lift, simulate_brownian
+    from .lift import build_lift, check_driver_pair, simulate_brownian
 
     if not np.isfinite(s0):
         raise ConfigurationError(f"s0 must be finite, got {s0}")
+    check_driver_pair(kernel, index_config)
     y1, y2 = [], []
     for seed in seeds:
         prp = build_lift(simulate_brownian(grid, rho, seed), kernel,
-                         index_config, cell_correction=cell_correction)
+                         index_config)
         driver = integral(prp, f)
         y1.append(driver.y1[:, 0])
         y2.append(driver.y2[:, 0, 0])

@@ -64,12 +64,13 @@ def test_reconstruction_matches_double_sums(capsys):
     cfg = core.build_index_sets(0.35, 0.08, 2)
     grid = core.Grid(T=1.0, N=128)
     pairs = [(0, 128), (0, 64), (32, 96), (64, 128), (17, 111), (97, 98)]
+    bundle = simulate_brownian(grid, -0.7, 7)
+    xhat = build_lift(bundle, riemann_liouville(0.3, 0.01), cfg).xhat
+    x = np.asarray(bundle.X, dtype=np.float64)[:, None]
     worst = 0.0
     for cell_correction in (False, True):
-        bundle = simulate_brownian(grid, -0.7, 7)
-        prp = build_lift(bundle, riemann_liouville(0.3, 0.01), cfg,
-                         cell_correction=cell_correction)
-        x = np.asarray(bundle.X, dtype=np.float64)[:, None]
+        prp = core.lift_sampled_paths(xhat, x, cfg, grid,
+                                      cell_correction=cell_correction)
         delta = grid.delta if cell_correction else None
         s_arr = [p[0] for p in pairs]
         t_arr = [p[1] for p in pairs]

@@ -917,6 +917,30 @@ def test_lift_and_mc_ito_refuse_the_same_lift(tmp_path, capsys, monkeypatch):
                       "regularity zeta = 0.04\n"] * 2
 
 
+@pytest.mark.parametrize("command", ["lift", "verify", "integrate", "rde"])
+def test_an_unliftable_kernel_exits_2_before_drawing(tmp_path, capsys,
+                                                     monkeypatch, command):
+    # index.beta = 0.08 exceeds zeta = 0.04 at H = 0.05: every command that
+    # lifts the driver refuses the pair before it draws the driver path.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a driver path that cannot be lifted")
+
+    monkeypatch.setattr(cli.lift_mod, "stream", no_draw)
+    cfg = _cfg(tmp_path, "kernel.H = 0.05\ngrid.N = 256\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == ("config error: beta = 0.08 exceeds the "
+                                       "kernel regularity zeta = 0.04\n")
+
+
+def test_the_in_cell_term_has_no_key(tmp_path, capsys):
+    # Every simulated lift carries the in-cell term; no key turns it off.
+    cfg = _cfg(tmp_path, SMALL_LIFT + "lift.cell_correction = false\n")
+    out = tmp_path / "x"
+    assert main(["lift", "--config", cfg, "--out", str(out)]) == 2
+    assert "unknown config key: lift.cell_correction" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _ITO = """
 index.alpha = 0.45
 index.beta = 0.2

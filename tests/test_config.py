@@ -27,7 +27,6 @@ def test_minimal_config_fills_defaults():
     assert cfg["grid.N"] == 4096
     assert cfg["index.alpha"] == 0.4
     assert cfg["index.beta"] == 0.08
-    assert cfg["lift.cell_correction"] is True
     assert cfg["mc.strikes"] == (0.9, 1.0, 1.1)
     assert cfg["mc.t_values"] == ()
     assert set(cfg.values) == set(REGISTRY)
@@ -76,19 +75,15 @@ def test_comments_and_spacing_ignored():
     assert cfg["grid.N"] == 128
 
 
-def test_bool_and_float_list_values():
+def test_float_list_values():
     text = (
         "kernel.H = 0.3\n"
-        "lift.cell_correction = off\n"
         "mc.strikes = 0.8,  1.0 ,1.25\n"
         "mc.t_values =\n"
     )
     cfg = parse_config_text(text)
-    assert cfg["lift.cell_correction"] is False
     assert cfg["mc.strikes"] == (0.8, 1.0, 1.25)
     assert cfg["mc.t_values"] == ()
-    with pytest.raises(ConfigurationError, match="bad value for lift.cell_correction"):
-        parse_config_text("kernel.H = 0.3\nlift.cell_correction = maybe\n")
 
 
 def test_canonical_hash_is_order_insensitive():

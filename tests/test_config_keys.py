@@ -4,7 +4,9 @@ A key in ``config.REGISTRY`` must appear as a subscript,
 ``cfg["<key>"]``, somewhere in ``src/parpath``; the registry's own
 entries are dict keys, not reads.  A key that nothing reads, or one
 whose name is pieced together from a prefix, fails here, so a search
-for a key's name finds every place that uses it.
+for a key's name finds every place that uses it.  Every value type
+in ``config._PARSERS`` is some key's type, so a type's parser goes with
+its last key.
 """
 
 import ast
@@ -30,3 +32,8 @@ def _read_keys():
 
 def test_every_registry_key_is_read_by_its_literal_name():
     assert sorted(set(config.REGISTRY) - _read_keys()) == []
+
+
+def test_every_value_type_has_a_key():
+    used = {kind for kind, _ in config.REGISTRY.values()}
+    assert sorted(set(config._PARSERS) - used) == []

@@ -27,10 +27,6 @@ _UNREACHED = {
     # Item 7: delete, or give a caller.
     "dilate",
     "compensated_sum_level2",
-    # Item 7: kept; the README promises reconstruction back to plain
-    # double sums.
-    "reconstruct_level1",
-    "reconstruct_level2",
 }
 
 

@@ -70,14 +70,17 @@ def test_antiderivatives_match_quadrature():
 def test_bundle_consistency_checks():
     grid = Grid(T=1.0, N=16)
     b = simulate_brownian(grid, 0.5, 3)
-    assert np.allclose(b.X, 0.5 * b.W + math.sqrt(0.75) * b.Wperp, atol=1e-12)
+    norms = stream(3, "brownian").standard_normal((3, grid.N))
+    W, Wperp = (np.concatenate([[0.0], np.cumsum(math.sqrt(grid.delta) * n)])
+                for n in norms[:2])
+    assert np.array_equal(b.W, W) and np.array_equal(b.aux, norms[2])
+    assert np.array_equal(b.X, 0.5 * W + math.sqrt(0.75) * Wperp)
     with pytest.raises(ConfigurationError):
         simulate_brownian(grid, 1.5, 3)
-    with pytest.raises(DomainError):
-        BrownianBundle(grid=grid, rho=0.0, W=b.W, Wperp=b.Wperp, X=b.W)
-    with pytest.raises(DomainError):
-        BrownianBundle(grid=grid, rho=0.0, W=b.W[:-1], Wperp=b.Wperp[:-1],
-                       X=b.Wperp[:-1])
+    with pytest.raises(DomainError, match="X must be finite and start at 0"):
+        BrownianBundle(grid=grid, W=b.W, X=b.X + 1.0)
+    with pytest.raises(DomainError, match="must have shape"):
+        BrownianBundle(grid=grid, W=b.W[:-1], X=b.X[:-1])
 
 
 def test_bundle_determinism_and_quadratic_variation():
@@ -309,8 +312,7 @@ def test_build_lift_zero_index_is_driver(small_cfg):
 def test_build_lift_first_index_matches_left_sum(small_cfg):
     grid = Grid(T=1.0, N=256)
     b = simulate_brownian(grid, -0.7, 5)
-    prp = build_lift(b, riemann_liouville(0.3, delta=0.01), small_cfg,
-                     cell_correction=False)
+    prp = build_lift(b, riemann_liouville(0.3, delta=0.01), small_cfg)
     want = oracle_level1(prp.xhat, b.X[:, None], (1, 0), 0, grid.N)
     assert abs(prp.a[(1, 0)][-1, 0] - want[0]) <= 1e-12 * (1.0 + abs(want[0]))
 
