@@ -27,11 +27,11 @@ dX, and its dW where the driver reads it; one row block of normals,
 the FFT's padded rows, spectrum and inverse, the driver and the level
 arrays; and one node segment's arrays.  So a chunk holds one
 (chunk, N) array per thread when f is constant, two otherwise.
-Convolution, vol function and cumulative levels run on row blocks of
-16 paths in the same arrays, so a block allocates little and faults in
-no fresh pages, however large the chunk.  Every stage is row-wise, so
-blocking changes no bit.  The convolution weights and the
-kernel's spectrum are computed once per call, not once per block.
+Convolution, vol function, cumulative levels and the ito check's
+cell sums run on row blocks of 16 paths in the same arrays, so a
+block allocates little and faults in no fresh pages, however large
+the chunk.  Every stage is row-wise, so blocking changes no bit.
+The convolution weights and kernel spectrum are built once per call.
 Each block forms f's values once, from the driver, or as the float
 ``f.c`` for constant f; every running sum of weighted increments (the
 first level, the driver X, the monomial levels) comes from
@@ -69,7 +69,6 @@ import numpy as np
 from . import core
 from .black_scholes import call_price, implied_vol
 from .exceptions import ConfigurationError, InsufficientDataError, NumericalError
-from .integrate import compensated_sum_level1
 from .lift import (KernelSpec, _Workspace, check_driver_pair,
                    volterra_convolve_batch)
 from .rate import RateProblem, minimize_rate
@@ -555,31 +554,42 @@ def ito_consistency_check(kernel: KernelSpec, config: core.IndexConfig,
                           chunk: int = 8) -> ItoConsistencyReport:
     """Higher-order mass of the compensated sum across coarse partitions.
 
-    Each path is lifted on ``grid``; over the coarse partitions of N/64,
-    N/16 and N/4 cells (:func:`_dyadic_nodes`) the first-level
-    compensated sum is compared with the plain left-point sum on the
-    same cells.  The difference D is the contribution of all indices
-    |i| >= 1, and its RMS must shrink with the coarse mesh like
-    mesh^zeta; the report's ``ratio`` is RMS(finest coarse level) /
-    RMS(coarsest).
+    Over the coarse partitions of N/64, N/16 and N/4 cells
+    (:func:`_dyadic_nodes`), each path's first-level compensated sum for
+    the left-point lift on ``grid`` exceeds the plain left-point sum by
+    D = sum_cells sum_r dX_r sum_{|i| >= 1} d^i f(xhat_left) y_r^i / i!,
+    y_r = xhat_r - xhat_left, summed here on row blocks of the chunk.
+    The RMS of D must shrink with the coarse mesh like mesh^zeta; the
+    report's ``ratio`` is RMS(finest coarse level) / RMS(coarsest).
     """
     _check_rho(rho)
     coarse_cells = tuple(_dyadic_nodes(grid)[:-1:2].tolist())
     check_driver_pair(kernel, config)
 
     def stage(count, dW, dX, normals, work):
-        out = np.zeros((count, len(coarse_cells)))
-        for b in range(count):
-            xhat = _driver_xhat(dW, normals, slice(b, b + 1), kernel, grid,
-                                work)[0]
-            x = _levels_batch(1.0, dX[b:b + 1], work)[0]
-            prp = core.lift_sampled_paths(xhat, x[:, None], config, grid)
+        out = np.empty((count, len(coarse_cells)))
+        for rows in _row_blocks(count):
+            xhat = _driver_xhat(dW, normals, rows, kernel, grid, work)
             for li, cells in enumerate(coarse_cells):
-                part = np.arange(cells + 1, dtype=np.int64) * (grid.N // cells)
-                comp = compensated_sum_level1(prp, f, part)[0]
-                lefts = part[:-1]
-                plain = float(f.value(prp.xhat[lefts]) @ (x[part[1:]] - x[lefts]))
-                out[b, li] = comp - plain
+                shape = (len(xhat), cells, grid.N // cells)
+                left = xhat[:, :-1:shape[2], None]  # the cells' left nodes
+                y0, y1, inner, outer = work.view("ito_rows", (4,) + shape)
+                for k, yk in enumerate((y0, y1)):  # y = xhat_r - xhat_left
+                    np.subtract(xhat[:, :-1, k].reshape(shape), left[..., k], out=yk)
+                # sum_{|i| >= 1} d^i f(xhat_left) y^i / i!: Horner's rule in
+                # y1 inside Horner's rule in y0, f's partials one row at a time.
+                outer[...] = 0.0
+                for a in range(config.n, -1, -1):
+                    df = f.partials([i for i in config.I if i[0] == a and any(i)],
+                                    left)
+                    inner[...] = 0.0
+                    for b in range(config.n - a, -1, -1):
+                        inner *= y1
+                        inner += df.get((a, b), 0.0) / core.midx_factorial((a, b))
+                    outer *= y0
+                    outer += inner
+                out[rows, li] = np.einsum("bcw,bcw->b", outer,
+                                          dX[rows].reshape(shape))
         return out
 
     D = np.concatenate(_run_chunks(stage, grid, seed, rho, n_paths, chunk,

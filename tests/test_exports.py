@@ -24,9 +24,6 @@ _UNREACHED = {
     "optimality_report",
     # Item 7: wire in as `mc.check = rde`, or delete.
     "rde_convergence_check",
-    # Item 7: delete, or give a caller.
-    "dilate",
-    "compensated_sum_level2",
 }
 
 

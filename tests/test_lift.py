@@ -156,15 +156,28 @@ def _unit_responses(spec, grid):
             volterra_convolve_batch(zero, eye, spec, grid))
 
 
+def _node_variance(spec, grid):
+    """Var(xhat_n) at every node n.  dW_j ~ N(0, delta) and aux_j ~ N(0, 1),
+    all independent, so Var(xhat_n) = delta |A e_n|^2 + |B e_n|^2 for the
+    unit responses A, B of :func:`_unit_responses`, pushed through here
+    256 rows at a time."""
+    var = np.zeros(grid.N + 1)
+    for lo in range(0, grid.N, 256):
+        unit = np.eye(256, grid.N, lo)
+        zero = np.zeros_like(unit)
+        A = volterra_convolve_batch(unit, zero, spec, grid)
+        var += grid.delta * np.sum(A ** 2, axis=0)
+        var += np.sum(volterra_convolve_batch(zero, unit, spec, grid) ** 2, axis=0)
+    return var
+
+
 @pytest.mark.parametrize("H, T, N", _MOMENT_GRIDS)
 def test_hybrid_node_variance_is_exact(H, T, N):
-    # dW_j ~ N(0, delta) and aux_j ~ N(0, 1), all independent, so
-    # Var(xhat_n) = delta |A e_n|^2 + |B e_n|^2.  The touching cell
-    # carries Q(delta) exactly and cell k >= 2 the squared cell average
-    # w_k^2 delta, w_k built here from the antiderivative alone.
+    # The touching cell carries Q(delta) exactly and cell k >= 2 the
+    # squared cell average w_k^2 delta, w_k built here from the
+    # antiderivative alone.
     spec, grid = riemann_liouville(H, delta=0.01), Grid(T=T, N=N)
-    A, B = _unit_responses(spec, grid)
-    var = grid.delta * np.sum(A ** 2, axis=0) + np.sum(B ** 2, axis=0)
+    var = _node_variance(spec, grid)
     w = np.diff(kernel_antideriv(spec, grid.nodes)) / grid.delta
     lags = np.concatenate([[0.0], np.cumsum(w[1:] ** 2)])  # k = 2..n
     want = float(kernel_sq_antideriv(spec, grid.delta)) + grid.delta * lags
@@ -183,6 +196,23 @@ def test_hybrid_covariance_with_w_is_exact(H, T, N):
     assert cov[0] == 0.0
     np.testing.assert_allclose(cov[1:], kernel_antideriv(spec, grid.nodes[1:]),
                                rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("H, T, N", _MOMENT_GRIDS + [(0.3, 4e-3, 4096)])
+def test_hybrid_variance_deficit_is_bounded(H, T, N):
+    # Q(t_n) - Var(xhat_n) sums, over the cells k >= 2, delta times the
+    # variance of kappa on the cell about its average w_k.  Jensen makes
+    # each term >= 0.  kappa is monotone on a cell, so Popoviciu bounds
+    # each by delta (kappa((k-1) delta) - kappa(k delta))^2 / 4, and the
+    # differences telescope to at most kappa(delta): the deficit is at
+    # most delta kappa(delta)^2 / 4, and 0 for the constant kernel.
+    spec, grid = riemann_liouville(H, delta=0.01), Grid(T=T, N=N)
+    Q = kernel_sq_antideriv(spec, grid.nodes)
+    gap = Q - _node_variance(spec, grid)
+    assert np.all(gap >= -1e-14 * Q)
+    assert np.all(gap <= grid.delta * (spec.const * grid.delta ** spec.eta) ** 2 / 4)
+    if H == 0.5:
+        assert np.all(np.abs(gap) <= 1e-14 * Q)
 
 
 def test_convolution_batch_validation():

@@ -10,7 +10,7 @@ import pytest
 from parpath import core, mc
 from parpath.exceptions import (ConfigurationError, InsufficientDataError,
                                 SolverError)
-from parpath.integrate import integrate
+from parpath.integrate import compensated_sum_level1, integrate
 from parpath.lift import _Workspace, riemann_liouville, volterra_convolve_batch
 from parpath.mc import (
     ito_consistency_check,
@@ -556,9 +556,9 @@ def test_touching_cell_blocks_are_the_whole_third_row(monkeypatch, engine,
                                                       threads):
     # Every row the convolution reads equals the third row of the
     # chunk's whole (3, count, N) draw.  37 paths in chunks of 20 end
-    # each chunk on a partial row block (16 + 4, 16 + 1), and ito reads
-    # one row at a time.  Rows are matched by their dW bits, which the
-    # engine scales in place as the replay does.
+    # each chunk on a partial row block (16 + 4, 16 + 1).  Rows are
+    # matched by their dW bits, which the engine scales in place as the
+    # replay does.
     grid, n_paths, chunk, seed = core.Grid(T=1.0, N=128), 37, 20, 1
     expected = {}
     for cid, start in enumerate(range(0, n_paths, chunk)):
@@ -917,6 +917,42 @@ def test_ito_report_shrinks_with_the_mesh():
     again = ito_consistency_check(riemann_liouville(0.3, 0.01), SMALL,
                                   threads=3, **kwargs)
     assert report.rms == again.rms
+
+
+def _ito_by_lift(kernel, config, f, rho, grid, seed, cells):
+    """D of the one path of an ``n_paths = 1`` ito call on ``cells`` cells,
+    by the lift route: the compensated sum minus the plain left-point
+    sum, with their scale S = sum_cells |f(xhat_left)| (|x_left| + |x_right|).
+    """
+    dW, dX, aux = next(_replay_chunks(seed, rho, grid, 1, 8))
+    conv = volterra_convolve_batch(dW, aux, kernel, grid)
+    xhat = np.column_stack([conv[0], grid.nodes ** kernel.zeta])
+    x = np.concatenate([[0.0], np.cumsum(dX[0])])
+    prp = core.lift_sampled_paths(xhat, x[:, None], config, grid)
+    part = np.arange(cells + 1) * (grid.N // cells)
+    lefts, rights = part[:-1], part[1:]
+    f_left = f.value(prp.xhat[lefts])
+    D = compensated_sum_level1(prp, f, part)[0] - f_left @ (x[rights] - x[lefts])
+    return D, np.abs(f_left) @ (np.abs(x[lefts]) + np.abs(x[rights]))
+
+
+@pytest.mark.parametrize("config, N", [
+    (SMALL, 256), (core.build_index_sets(0.4, 0.08, 2), 4096)],
+    ids=["small-sets", "default-sets"])
+def test_ito_sums_what_the_lift_route_sums(config, N):
+    # The stage sums the cell terms with |i| >= 1 directly; the lift
+    # route forms the whole compensated sum and subtracts the plain sum,
+    # two sums of size S, so it rounds at a few eps * S (3.1 eps * S at
+    # most over 30 seeds of both configs): 32 eps * S leaves a factor of
+    # ten.  Dropping the top-degree indices moves D by far more.
+    kernel, f = riemann_liouville(0.3, 0.01), ExponentialVol(1.0, (1.0, 1.0))
+    rho, grid = -0.7, core.Grid(T=1.0, N=N)
+    for seed in range(3):
+        report = ito_consistency_check(kernel, config, f, rho, grid, 1, seed)
+        for cells in report.coarse_cells:
+            D, scale = _ito_by_lift(kernel, config, f, rho, grid, seed, cells)
+            tol = 32 * np.finfo(float).eps * scale
+            assert abs(report.rms[cells] - abs(D)) <= tol
 
 
 def test_ito_refuses_an_rms_that_overflows():

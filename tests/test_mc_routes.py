@@ -4,6 +4,9 @@
 first integral level, the driver X and the monomial levels of the moment
 check.  A cumulative sum anywhere else in ``src/parpath/mc.py`` would
 be a second route to the same numbers, free to drift from the first.
+
+The engine also never leaves its row blocks for the per-path lift and
+compensated sums of ``parpath.core`` and ``parpath.integrate``.
 """
 
 import ast
@@ -34,3 +37,27 @@ def _cumsum_callers():
 
 def test_only_levels_batch_forms_running_sums():
     assert _cumsum_callers() == ["_levels_batch"]
+
+
+def _imports_and_names():
+    """The modules mc.py imports from, and every name it binds or reads."""
+    modules, names = set(), set()
+    for node in ast.walk(ast.parse(MC.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return modules, names
+
+
+def test_engine_neither_lifts_nor_sums_a_single_path():
+    modules, names = _imports_and_names()
+    assert [m for m in modules if "integrate" in m.split(".")] == []
+    assert "integrate" not in names
+    assert names & {"lift_sampled_paths", "compensated_sum_level1",
+                    "compensated_sum_level2"} == set()
